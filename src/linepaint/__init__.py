@@ -6,13 +6,7 @@ head trajectories for both sides of the vehicle."""
 from .evaluation import EvaluationReport, evaluate, evaluate_assignment
 from .ga import GaConfig, GaResult, run
 from .genotype import ArmAssignment, UpperSolution, decode
-from .lower_sim import (
-    SimMetrics,
-    Trajectory,
-    expand_to_both_sides,
-    simulate,
-    simulate_one_side,
-)
+from .lower_sim import SimMetrics, Trajectory, simulate
 from .presets import desk_scene, preset_scene
 from .scene import (
     ArmConfig,
@@ -50,12 +44,10 @@ __all__ = [
     "desk_scene",
     "evaluate",
     "evaluate_assignment",
-    "expand_to_both_sides",
     "generate_synthetic_scene",
     "load_scene",
     "preset_scene",
     "run",
     "save_scene",
     "simulate",
-    "simulate_one_side",
 ]

@@ -49,21 +49,16 @@ class EvaluationReport:
 
 
 def range_penalty(metrics: SimMetrics, cfg: ScenarioConfig) -> float:
+    t_out, n_unvisits = metrics.t_out, metrics.n_unvisits
     total = 0.0
-    for arm_id, t_out in metrics.t_out.items():
-        total += cfg.rho_out * t_out + cfg.rho_unvisits * metrics.n_unvisits.get(arm_id, 0)
-    for arm_id, n in metrics.n_unvisits.items():
-        if arm_id not in metrics.t_out:
-            total += cfg.rho_unvisits * n
+    for arm_id in dict.fromkeys([*t_out, *n_unvisits]):
+        out_s = t_out.get(arm_id, 0.0)
+        total += cfg.rho_out * out_s + cfg.rho_unvisits * n_unvisits.get(arm_id, 0)
     return total
 
 
 def collision_penalty(metrics: SimMetrics, cfg: ScenarioConfig) -> float:
     return cfg.rho_col * metrics.t_col
-
-
-def order_violations(paint_start_times: dict[int, float], scene: VehicleScene) -> dict[int, int]:
-    return order_violation_counts(paint_start_times, scene)
 
 
 def order_penalty(order_counts: dict[int, int], cfg: ScenarioConfig) -> float:
@@ -72,13 +67,8 @@ def order_penalty(order_counts: dict[int, int], cfg: ScenarioConfig) -> float:
 
 
 def _back_door_ok(assign: ArmAssignment, scene: VehicleScene, cfg: ScenarioConfig) -> bool:
-    if not cfg.back_door_rule:
-        return True
-    back_panels = {p.id for p in scene.panels if p.kind == "back_door"}
-    if not back_panels:
-        return True
-    last = assign[-1]  # assignment lists are ordered front row first
-    return not any(scene.segment(s).panel_id in back_panels for s in last)
+    # assignment lists are ordered front row first
+    return not cfg.back_door_rule or scene.back_door_ids.isdisjoint(assign[-1])
 
 
 def evaluate_assignment(
@@ -119,7 +109,8 @@ def report_from_metrics(
     if work > cfg.t_p:
         notes.append(f"work time {work:.2f}s exceeds prescribed {cfg.t_p:.2f}s")
     if assign is not None:
-        multi = sum(1 for p in scene.panels if _arms_on_panel(assign, scene, p.id) > 1)
+        arm_panels = [{scene.segment(s).panel_id for s in segs} for segs in assign]
+        multi = sum(1 for p in scene.panels if sum(p.id in ps for ps in arm_panels) > 1)
         if multi:
             notes.append(f"{multi} panels painted by more than one arm")
     return EvaluationReport(
@@ -135,12 +126,6 @@ def report_from_metrics(
         t_out=dict(metrics.t_out),
         n_unvisits=dict(metrics.n_unvisits),
         t_col=metrics.t_col,
-    )
-
-
-def _arms_on_panel(assign: ArmAssignment, scene: VehicleScene, panel_id: int) -> int:
-    return sum(
-        1 for segs in assign if any(scene.segment(s).panel_id == panel_id for s in segs)
     )
 
 

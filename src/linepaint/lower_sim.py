@@ -17,19 +17,17 @@ in world coordinates.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .genotype import ArmAssignment
-from .scene import ScenarioConfig, ScenarioError, VehicleScene, VERTICAL_KINDS
+from .scene import ScenarioConfig, ScenarioError, VehicleScene, VERTICAL_KINDS, _World
 
 WAIT, MOVE, PAINT, REORIENT, HOME = 0, 1, 2, 3, 4
 ACTION_NAMES = ("wait", "move", "paint", "reorient", "home")
 
-_X = np.array([1.0, 0.0, 0.0])
 _MIRROR_Z = np.array([1.0, 1.0, -1.0])
 
 
@@ -69,44 +67,21 @@ class Trajectory:
 # reachability windows
 
 
+def _scene_under(scene: VehicleScene, cfg: ScenarioConfig | None) -> VehicleScene:
+    """The scene itself, or for another config a copy whose views are
+    computed afresh and not kept."""
+    return scene if cfg is None or cfg == scene.config else replace(scene, config=cfg)
+
+
 def reach_windows(scene: VehicleScene, cfg: ScenarioConfig | None = None):
     """Per (one-side arm id, segment id): tick interval during which both
     world-frame endpoints sit inside the arm's sphere, or None if never."""
-    cfg = cfg or scene.config
-    return _reach_windows_cached(scene, cfg)
-
-
-@functools.lru_cache(maxsize=32)
-def _reach_windows_cached(scene: VehicleScene, cfg: ScenarioConfig):
-    k = scene.line.velocity * cfg.mu
-    off0 = scene.line.reference_position - scene.front_x
-    out: dict[tuple[int, int], tuple[float, float] | None] = {}
-    for arm in scene.left_arms():
-        cx, cy, cz = arm.center
-        r2 = arm.radius * arm.radius
-        for s in scene.segments:
-            lo, hi = 0.0, float(cfg.t_max)
-            for p in (s.endpoint_a, s.endpoint_b):
-                ax = p[0] + off0 - cx
-                dy = p[1] - cy
-                dz = p[2] - cz
-                a = k * k
-                b = 2.0 * ax * k
-                c = ax * ax + dy * dy + dz * dz - r2
-                disc = b * b - 4.0 * a * c
-                if disc <= 0.0:
-                    lo, hi = 1.0, 0.0
-                    break
-                sq = math.sqrt(disc)
-                lo = max(lo, (-b - sq) / (2.0 * a))
-                hi = min(hi, (-b + sq) / (2.0 * a))
-            out[(arm.id, s.id)] = (lo, hi) if lo <= hi else None
-    return out
+    return _scene_under(scene, cfg).windows
 
 
 def never_reachable(scene: VehicleScene, cfg: ScenarioConfig | None = None):
     """Set of (arm id, segment id) pairs out of range over the whole horizon."""
-    return {key for key, win in reach_windows(scene, cfg).items() if win is None}
+    return _scene_under(scene, cfg).never_reachable
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +107,6 @@ class _Tape:
     def hold(self, n: int, action: int = WAIT) -> None:
         if n > 0:
             self.append(action, -1, np.broadcast_to(self.pos, (n, 3)).copy())
-
-
-class _World:
-    """Vehicle-frame to world-frame drift helper."""
-
-    def __init__(self, scene: VehicleScene, cfg: ScenarioConfig):
-        self.k = scene.line.velocity * cfg.mu  # drift per tick, mm
-        self.off0 = scene.line.reference_position - scene.front_x
-
-    def at(self, p, t) -> np.ndarray:
-        return np.asarray(p, dtype=float) + _X * (self.off0 + self.k * t)
-
-    def track(self, p, t0: int, n: int) -> np.ndarray:
-        """Positions on the moving point p for ticks t0+1 .. t0+n."""
-        ts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
-        out = np.tile(np.asarray(p, dtype=float), (n, 1))
-        out[:, 0] += self.off0 + self.k * ts
-        return out
 
 
 def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int:
@@ -388,7 +345,7 @@ def simulate(
     if len(assign) != len(left_arms):
         raise ValueError(f"expected {len(left_arms)} assignment lists, got {len(assign)}")
     windows = reach_windows(scene, cfg)
-    world = _World(scene, cfg)
+    world = _World(scene, cfg.mu)
     metrics = SimMetrics()
 
     # segments missing from every assignment list are unvisited by definition
@@ -419,35 +376,6 @@ def simulate(
     metrics.t_col = collision_time(traj, cfg.gamma_col)
     metrics.order_violations = order_violation_counts(metrics.paint_start_times, scene)
     return traj, metrics
-
-
-def simulate_one_side(
-    assign: ArmAssignment, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> tuple[Trajectory, SimMetrics]:
-    """Trajectory restricted to the planned side.  Sync with the expanded
-    side can stall a planned arm, so both sides are co-planned; the one-side
-    view keeps a handle on the full plan for expand_to_both_sides."""
-    full, metrics = simulate(assign, scene, cfg)
-    n = len(scene.left_arms())
-    one = Trajectory(
-        arm_ids=full.arm_ids[:n],
-        positions=full.positions[:n],
-        actions=full.actions[:n],
-        seg_ids=full.seg_ids[:n],
-        homes=full.homes[:n],
-        mu=full.mu,
-    )
-    one.full = full
-    return one, metrics
-
-
-def expand_to_both_sides(
-    one_side: Trajectory, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> Trajectory:
-    full = getattr(one_side, "full", None)
-    if full is None:
-        raise ValueError("one-side trajectory does not carry its expansion plan")
-    return full
 
 
 def collision_time(traj: Trajectory, gamma_col: float) -> float:

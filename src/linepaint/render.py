@@ -7,22 +7,12 @@ from __future__ import annotations
 import numpy as np
 
 from .lower_sim import PAINT, Trajectory
-from .scene import VehicleScene
+from .scene import VehicleScene, _World
 
 ARM_COLORS = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#e377c2",
 )
-
-
-def _vehicle_frame(traj: Trajectory, scene: VehicleScene) -> np.ndarray:
-    """Positions with the line drift removed: (n_arms, n_ticks + 1, 3)."""
-    k = scene.line.velocity * traj.mu
-    off0 = scene.line.reference_position - scene.front_x
-    ts = np.arange(traj.positions.shape[1], dtype=float)
-    out = traj.positions.copy()
-    out[:, :, 0] -= off0 + k * ts
-    return out
 
 
 def _polyline(xs, ys, color: str, width: float, dash: str = "") -> str:
@@ -89,7 +79,10 @@ def _project(p, axis_label: str):
 
 
 def render_svg(traj: Trajectory, scene: VehicleScene, subsample: int = 5) -> str:
-    pts = _vehicle_frame(traj, scene)
+    # positions with the line drift removed
+    world = _World(scene, traj.mu)
+    pts = traj.positions.copy()
+    pts[:, :, 0] -= world.off0 + world.k * np.arange(pts.shape[1], dtype=float)
     acts = traj.actions
     if subsample > 1:
         keep = np.zeros(pts.shape[1], dtype=bool)

@@ -70,19 +70,18 @@ def repair_bottom_up(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     genes = list(x.genes)
     n_dim = len(genes)
     n_arms = scene.n_arms_side
-    height = {s.id: s.height_index for s in scene.segments}
     for panel in scene.panels:
         if panel.kind not in VERTICAL_KINDS:
             continue
-        panel_ids = set(scene.panel_segment_ids(panel.id))
-        if not panel_ids:
+        ordered = scene.panel_segment_ids(panel.id)  # bottom to top
+        if not ordered:
             continue
+        members = set(ordered)
         # gene positions of this panel's segments, grouped by arm slot
         per_arm: list[list[int]] = [[] for _ in range(n_arms)]
         for pos, g in enumerate(genes):
-            if g in panel_ids:
+            if g in members:
                 per_arm[_arm_of(pos, n_dim, n_arms)].append(pos)
-        ordered = sorted(panel_ids, key=lambda s: height[s])
         i = 0
         for positions in per_arm:  # frontmost arm gets the lowest block
             block = ordered[i : i + len(positions)]
@@ -92,23 +91,18 @@ def repair_bottom_up(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     return UpperSolution(tuple(genes))
 
 
-def _panel_incidence(genes, scene: VehicleScene):
-    """arms-per-panel counts and per (arm, panel) gene positions."""
+def _panel_incidence(genes, scene: VehicleScene) -> dict[tuple[int, int], list[int]]:
+    """Gene positions per (arm slot, panel) pair that has any."""
     n_dim = len(genes)
     n_arms = scene.n_arms_side
     n_segs = scene.n_segs
-    panel_of = {s.id: s.panel_id for s in scene.segments}
     positions: dict[tuple[int, int], list[int]] = {}
     for pos, g in enumerate(genes):
         if g > n_segs:
             continue
-        key = (_arm_of(pos, n_dim, n_arms), panel_of[g])
+        key = (_arm_of(pos, n_dim, n_arms), scene.segment(g).panel_id)
         positions.setdefault(key, []).append(pos)
-    counts: dict[int, int] = {p.id: 0 for p in scene.panels}
-    for (_, pid), pp in positions.items():
-        if pp:
-            counts[pid] += 1
-    return counts, positions
+    return positions
 
 
 def repair_few_arms(
@@ -116,20 +110,20 @@ def repair_few_arms(
 ) -> UpperSolution:
     """Repair operator 3: swap arm a1's panel-b1 segments with arm a2's
     panel-b2 segments (equal counts) while that strictly reduces the number
-    of arms painting some panel without raising it anywhere."""
+    of arms painting some panel without raising it anywhere.
+
+    Both arms already touch both panels and every panel-b1 gene of a1 and
+    panel-b2 gene of a2 moves, so each swap lowers the arm counts of b1 and
+    b2 by one and changes no other: the loop ends within sum(counts)/2
+    rounds."""
     cfg = cfg or scene.config
     bad = never_reachable(scene, cfg)
     genes = list(x.genes)
-    n_dim = len(genes)
     n_arms = scene.n_arms_side
     arms = scene.left_arms()
-    improved = True
-    guard = 0
     panel_ids = sorted(p.id for p in scene.panels)
-    while improved and guard < 100:
-        improved = False
-        guard += 1
-        counts, positions = _panel_incidence(genes, scene)
+    while True:
+        positions = _panel_incidence(genes, scene)
         # smallest improving swap first (then lexicographic panel/arm order)
         candidates = sorted(
             (len(positions[(a1, b1)]), b1, b2, a1, a2)
@@ -152,17 +146,11 @@ def repair_few_arms(
                 continue
             if any((arms[a1].id, genes[p]) in bad for p in p2):
                 continue
-            trial = genes[:]
             for q1, q2 in zip(p1, p2):
-                trial[q1], trial[q2] = trial[q2], trial[q1]
-            new_counts, _ = _panel_incidence(trial, scene)
-            if all(new_counts[p] <= counts[p] for p in counts) and any(
-                new_counts[p] < counts[p] for p in counts
-            ):
-                genes = trial
-                improved = True
-                break
-    return UpperSolution(tuple(genes))
+                genes[q1], genes[q2] = genes[q2], genes[q1]
+            break
+        else:
+            return UpperSolution(tuple(genes))
 
 
 def repair_back_door(
@@ -172,7 +160,7 @@ def repair_back_door(
     cfg = cfg or scene.config
     if not cfg.back_door_rule:
         return x
-    back = {s.id for s in scene.segments if scene.panel(s.panel_id).kind == "back_door"}
+    back = scene.back_door_ids
     if not back:
         return x
     genes = list(x.genes)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -75,8 +76,9 @@ class ArmConfig:
 
 @dataclass(frozen=True)
 class LineKinematics:
+    """The line moves the vehicle along +x (see the module docstring)."""
+
     velocity: float
-    direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
     reference_position: float = 0.0
 
 
@@ -109,6 +111,9 @@ class VehicleScene:
     config: ScenarioConfig = field(default=ScenarioConfig())
 
     # ---- derived views -------------------------------------------------
+    # Each cached_property is computed once per instance and stored in its
+    # __dict__; dataclasses.replace builds a new instance, so a modified
+    # scene never reads its parent's views.
 
     @property
     def n_segs(self) -> int:
@@ -118,51 +123,110 @@ class VehicleScene:
         return self.segments[seg_id - 1]
 
     def panel(self, panel_id: int) -> Panel:
-        for p in self.panels:
-            if p.id == panel_id:
-                return p
-        raise KeyError(panel_id)
+        return self._panel_by_id[panel_id]
 
     def panel_segment_ids(self, panel_id: int) -> tuple[int, ...]:
-        segs = [s for s in self.segments if s.panel_id == panel_id]
-        segs.sort(key=lambda s: s.height_index)
-        return tuple(s.id for s in segs)
+        """Segment ids of the panel, bottom to top."""
+        return self._panel_segment_ids.get(panel_id, ())
 
     def left_arms(self) -> tuple[ArmConfig, ...]:
-        arms = [a for a in self.arms if a.side == "left"]
-        arms.sort(key=lambda a: a.row)
-        return tuple(arms)
+        """Left (planned-side) arms sorted by row."""
+        return self._left_arms
 
     def arm(self, arm_id: int) -> ArmConfig:
-        for a in self.arms:
-            if a.id == arm_id:
-                return a
-        raise KeyError(arm_id)
+        return self._arm_by_id[arm_id]
 
     @property
     def n_arms_side(self) -> int:
-        return len(self.left_arms())
+        return len(self._left_arms)
 
-    def world_offset(self, t: float) -> float:
-        """World-frame x offset of vehicle-frame coordinates at tick t."""
-        line = self.line
-        return line.reference_position - self.front_x + line.velocity * self.config.mu * t
+    @cached_property
+    def _panel_by_id(self) -> dict[int, Panel]:
+        return {p.id: p for p in self.panels}
+
+    @cached_property
+    def _arm_by_id(self) -> dict[int, ArmConfig]:
+        return {a.id: a for a in self.arms}
+
+    @cached_property
+    def _left_arms(self) -> tuple[ArmConfig, ...]:
+        return tuple(sorted((a for a in self.arms if a.side == "left"), key=lambda a: a.row))
+
+    @cached_property
+    def _panel_segment_ids(self) -> dict[int, tuple[int, ...]]:
+        ids: dict[int, list[int]] = {}
+        for s in sorted(self.segments, key=lambda s: s.height_index):
+            ids.setdefault(s.panel_id, []).append(s.id)
+        return {pid: tuple(v) for pid, v in ids.items()}
+
+    @cached_property
+    def back_door_ids(self) -> frozenset[int]:
+        """Ids of the segments on back-door panels."""
+        return frozenset(s.id for s in self.segments if self.panel(s.panel_id).kind == "back_door")
+
+    @cached_property
+    def windows(self) -> dict[tuple[int, int], tuple[float, float] | None]:
+        """Per (one-side arm id, segment id) under ``self.config``: the tick
+        interval during which both world-frame endpoints sit inside the arm's
+        sphere, or None if never."""
+        world = _World(self, self.config.mu)
+        k = world.k
+        out: dict[tuple[int, int], tuple[float, float] | None] = {}
+        for arm in self._left_arms:
+            cx, cy, cz = arm.center
+            r2 = arm.radius * arm.radius
+            for s in self.segments:
+                lo, hi = 0.0, float(self.config.t_max)
+                for p in (s.endpoint_a, s.endpoint_b):
+                    ax = p[0] + world.off0 - cx
+                    dy = p[1] - cy
+                    dz = p[2] - cz
+                    a = k * k
+                    b = 2.0 * ax * k
+                    c = ax * ax + dy * dy + dz * dz - r2
+                    disc = b * b - 4.0 * a * c
+                    if disc <= 0.0:
+                        lo, hi = 1.0, 0.0
+                        break
+                    sq = math.sqrt(disc)
+                    lo = max(lo, (-b - sq) / (2.0 * a))
+                    hi = min(hi, (-b + sq) / (2.0 * a))
+                out[(arm.id, s.id)] = (lo, hi) if lo <= hi else None
+        return out
+
+    @cached_property
+    def never_reachable(self) -> frozenset[tuple[int, int]]:
+        """(arm id, segment id) pairs out of range over the whole horizon."""
+        return frozenset(key for key, win in self.windows.items() if win is None)
 
 
-def segment_world_position(
-    seg: PaintSegment, t: float, line: LineKinematics, mu: float, front_x: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoints of ``seg`` in the world frame at tick ``t``."""
-    off = line.reference_position - front_x + line.velocity * mu * t
-    shift = np.asarray(line.direction, dtype=float) * off
-    return np.asarray(seg.endpoint_a) + shift, np.asarray(seg.endpoint_b) + shift
+_X = np.array([1.0, 0.0, 0.0])
+
+
+class _World:
+    """Vehicle-frame to world-frame drift helper."""
+
+    def __init__(self, scene: VehicleScene, mu: float):
+        self.k = scene.line.velocity * mu  # drift per tick, mm
+        self.off0 = scene.line.reference_position - scene.front_x
+
+    def at(self, p, t) -> np.ndarray:
+        return np.asarray(p, dtype=float) + _X * (self.off0 + self.k * t)
+
+    def track(self, p, t0: int, n: int) -> np.ndarray:
+        """Positions on the moving point p for ticks t0+1 .. t0+n."""
+        ts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
+        out = np.tile(np.asarray(p, dtype=float), (n, 1))
+        out[:, 0] += self.off0 + self.k * ts
+        return out
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _validate(scene: VehicleScene) -> VehicleScene:
+def validate_scene(scene: VehicleScene) -> VehicleScene:
+    """Raise ScenarioError on any inconsistency; returns the scene unchanged."""
     seen = set()
     panel_ids = {p.id for p in scene.panels}
     if len(panel_ids) != len(scene.panels):
@@ -218,11 +282,6 @@ def _validate(scene: VehicleScene) -> VehicleScene:
     return scene
 
 
-def validate_scene(scene: VehicleScene) -> VehicleScene:
-    """Raise ScenarioError on any inconsistency; returns the scene unchanged."""
-    return _validate(scene)
-
-
 # ---------------------------------------------------------------------------
 # scenario file i/o
 
@@ -269,7 +328,6 @@ def scene_to_dict(scene: VehicleScene) -> dict:
         ],
         "line": {
             "velocity": scene.line.velocity,
-            "direction": list(scene.line.direction),
             "reference_position": scene.line.reference_position,
         },
         "config": {k: getattr(scene.config, k) for k in ScenarioConfig.__dataclass_fields__},
@@ -315,9 +373,12 @@ def scene_from_dict(doc: dict) -> VehicleScene:
             )
             for a in doc["arms"]
         )
+        # the planner models a line along +x only; files may still spell it out
+        direction = doc["line"].get("direction", (1.0, 0.0, 0.0))
+        if [float(v) for v in direction] != [1.0, 0.0, 0.0]:
+            raise ScenarioError(f"line direction must be [1, 0, 0] (+x), got {direction}")
         line = LineKinematics(
             velocity=float(doc["line"]["velocity"]),
-            direction=tuple(float(v) for v in doc["line"].get("direction", (1.0, 0.0, 0.0))),
             reference_position=float(doc["line"].get("reference_position", 0.0)),
         )
         cfg = ScenarioConfig(**{k: v for k, v in doc.get("config", {}).items()})
@@ -334,7 +395,7 @@ def scene_from_dict(doc: dict) -> VehicleScene:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    return _validate(scene)
+    return validate_scene(scene)
 
 
 def load_scene(path) -> VehicleScene:
@@ -465,7 +526,6 @@ def generate_synthetic_scene(
 
     line = LineKinematics(
         velocity=spec.line_velocity,
-        direction=(1.0, 0.0, 0.0),
         reference_position=spec.reference_position,
     )
     cfg = config if config is not None else ScenarioConfig()
@@ -478,7 +538,7 @@ def generate_synthetic_scene(
         line=line,
         config=cfg,
     )
-    return _validate(scene)
+    return validate_scene(scene)
 
 
 def default_dummy_count(n_segs: int, n_arms_side: int) -> int:

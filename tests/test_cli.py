@@ -1,10 +1,11 @@
 import json
 
 import pytest
+import yaml
 
 from linepaint.cli import main
 from linepaint.presets import desk_scene
-from linepaint.scene import load_scene
+from linepaint.scene import load_scene, scene_to_dict
 from linepaint.seeding import base_boundaries, solution_from_boundaries
 
 
@@ -77,6 +78,22 @@ def test_solve_infeasible_exits_one(tmp_path):
 
 def test_missing_scenario_exits_two(tmp_path):
     assert main(["solve", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("direction, rejected", [([1.0, 0.0, 0.0], False), ([0, 0, 1], True)])
+def test_line_direction_other_than_x_exits_two(tmp_path, desk, direction, rejected):
+    doc = scene_to_dict(desk)
+    doc["line"]["direction"] = direction
+    scenario = tmp_path / "scene.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assignment = tmp_path / "assignment.json"
+    x = solution_from_boundaries(base_boundaries(desk), desk)
+    assignment.write_text(json.dumps({"format_version": 1, "genes": list(x.genes)}))
+    audit = main(["audit", "--scenario", str(scenario), "--assignment", str(assignment)])
+    solve = main(
+        ["solve", "--scenario", str(scenario), "--pop", "4", "--gens", "0", "--out", str(tmp_path)]
+    )
+    assert (audit == 2, solve == 2) == (rejected, rejected)
 
 
 def test_audit_matches_solver_pipeline(tmp_path, desk):

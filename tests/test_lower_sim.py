@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,10 @@ from linepaint.lower_sim import (
     PAINT,
     Trajectory,
     collision_time,
-    expand_to_both_sides,
     never_reachable,
     order_violation_counts,
     reach_windows,
     simulate,
-    simulate_one_side,
 )
 from linepaint.scene import (
     ArmConfig,
@@ -146,6 +145,22 @@ def test_never_reachable_segment_counts_unvisited():
     assert metrics.paint_start_times == {}
 
 
+def test_reach_windows_follow_config_and_arms(desk):
+    short_cfg = dataclasses.replace(desk.config, t_max=500)
+    short = reach_windows(desk, short_cfg)
+    assert short == reach_windows(with_config(desk, t_max=500))
+    assert short != reach_windows(desk)
+    assert never_reachable(desk, short_cfg) == never_reachable(with_config(desk, t_max=500))
+    # desk's own views are cached by the calls above; a copy with other arms
+    # must compute its own
+    assert not never_reachable(desk)
+    shrunk = dataclasses.replace(
+        desk, arms=tuple(dataclasses.replace(a, radius=10.0) for a in desk.arms)
+    )
+    assert set(reach_windows(shrunk).values()) == {None}
+    assert never_reachable(shrunk) == set(reach_windows(desk))
+
+
 def test_empty_assignment_waits_at_home():
     scene = toy_scene(n_segs=2)
     traj, metrics = simulate(((),), scene)
@@ -161,15 +176,6 @@ def test_empty_assignment_waits_at_home():
 def test_mirror_side_is_bit_exact(desk):
     traj, _ = simulate(boundary_assignment(desk), desk)
     assert mirror_exact(traj, desk)
-
-
-def test_one_side_view_and_expansion(desk):
-    assign = boundary_assignment(desk)
-    one, metrics = simulate_one_side(assign, desk)
-    assert one.arm_ids == tuple(a.id for a in desk.left_arms())
-    full = expand_to_both_sides(one, desk)
-    assert full.positions.shape[0] == 2 * len(one.arm_ids)
-    assert np.array_equal(full.positions[: len(one.arm_ids)], one.positions)
 
 
 def _hood_scene(hood_delay):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from linepaint.genotype import UpperSolution, decode, random_solution, validate
 from linepaint.lower_sim import never_reachable
+from linepaint.presets import preset_scene
 from linepaint.repair import (
     repair_all,
     repair_back_door,
@@ -192,6 +195,73 @@ def test_few_arms_consolidates_panels(two_panel_scene):
 def test_few_arms_fixed_point_when_single_owner(two_panel_scene):
     x = UpperSolution((1, 2, 3, 7, 4, 5, 6, 8))
     assert repair_few_arms(x, two_panel_scene) == x
+
+
+def _arm_panels(genes, scene):
+    """Segment ids held per (arm slot, panel), dummies skipped."""
+    width = len(genes) // scene.n_arms_side
+    held: dict[tuple[int, int], list[int]] = {}
+    for pos, g in enumerate(genes):
+        if g <= scene.n_segs:
+            held.setdefault((pos // width, scene.segment(g).panel_id), []).append(g)
+    return held
+
+
+def _arms_per_panel(genes, scene):
+    held = _arm_panels(genes, scene)
+    return {p.id: sum(1 for _, pid in held if pid == p.id) for p in scene.panels}
+
+
+def _open_few_arms_swaps(genes, scene):
+    """Swaps of arm a1's panel-b1 segments with arm a2's panel-b2 segments
+    (equal counts, both arms on both panels) that break no reachability."""
+    held = _arm_panels(genes, scene)
+    bad = never_reachable(scene)
+    ids = [a.id for a in scene.left_arms()]
+    return [
+        (a1, b1, a2, b2)
+        for (a1, b1), s1 in held.items()
+        for (a2, b2), s2 in held.items()
+        if a1 != a2
+        and b1 != b2
+        and len(s1) == len(s2)
+        and (a1, b2) in held
+        and (a2, b1) in held
+        and not any((ids[a2], s) in bad for s in s1)
+        and not any((ids[a1], s) in bad for s in s2)
+    ]
+
+
+def _unreachable_count(genes, scene):
+    bad = never_reachable(scene)
+    ids = [a.id for a in scene.left_arms()]
+    held = _arm_panels(genes, scene)
+    return sum(1 for (a, _), segs in held.items() for s in segs if (ids[a], s) in bad)
+
+
+@pytest.mark.parametrize(
+    "preset, short_reach", [("desk", False), ("v1", False), ("v3", False), ("v1", True), ("v3", True)]
+)
+def test_few_arms_never_raises_counts_and_stops_at_fixpoint(preset, short_reach):
+    scene = preset_scene(preset, seed=1)
+    if short_reach:  # reach grows with the row, so some segments suit only some arms
+        arms = tuple(dataclasses.replace(a, radius=1400.0 + 200.0 * a.row) for a in scene.arms)
+        scene = dataclasses.replace(scene, arms=arms)
+        assert never_reachable(scene)
+    rng = np.random.default_rng(31)
+    changed = 0
+    for _ in range(100):
+        # a child as the GA hands it to few_arms: repairs 1, 4 and 2 applied
+        x = random_solution(scene.n_segs + scene.config.n_d, rng)
+        x = repair_bottom_up(repair_back_door(repair_reachability(x, scene), scene), scene)
+        y = repair_few_arms(x, scene)
+        assert validate(y) is None and sorted(y.genes) == sorted(x.genes)
+        before, after = _arms_per_panel(x.genes, scene), _arms_per_panel(y.genes, scene)
+        assert all(after[p] <= before[p] for p in before)
+        assert _unreachable_count(y.genes, scene) <= _unreachable_count(x.genes, scene)
+        assert not _open_few_arms_swaps(y.genes, scene)
+        changed += y != x
+    assert changed > 0
 
 
 def _back_door_scene():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from linepaint.genotype import decode
+from linepaint.lower_sim import PAINT, simulate
 from linepaint.scene import (
     ArmConfig,
     LineKinematics,
@@ -18,9 +20,10 @@ from linepaint.scene import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    segment_world_position,
     validate_scene,
+    _World,
 )
+from linepaint.seeding import base_boundaries, solution_from_boundaries
 
 
 def _minimal_scene(**overrides):
@@ -45,21 +48,34 @@ def _minimal_scene(**overrides):
 
 def test_world_translation_exact():
     # velocity 147 mm/s, tick 0.01 s, 100 ticks -> exactly 147 mm of drift
-    line = LineKinematics(velocity=147.0)
-    seg = PaintSegment(1, 1, (0.0, 0.0, 0.0), (100.0, 0.0, 0.0), 1)
-    a0, _ = segment_world_position(seg, 0, line, mu=0.01, front_x=0.0)
-    a100, _ = segment_world_position(seg, 100, line, mu=0.01, front_x=0.0)
+    scene = _minimal_scene(front_x=0.0, line=LineKinematics(velocity=147.0))
+    world = _World(scene, mu=0.01)
+    p = scene.segment(1).endpoint_a
+    a0 = world.at(p, 0)
+    a100 = world.at(p, 100)
     assert a100[0] - a0[0] == 147.0
     assert a100[1] == a0[1] and a100[2] == a0[2]
 
 
-def test_world_offset_matches_segment_translation(desk):
-    t = 321
-    seg = desk.segment(1)
-    a, b = segment_world_position(seg, t, desk.line, desk.config.mu, desk.front_x)
-    off = desk.world_offset(t)
-    assert a[0] == pytest.approx(seg.endpoint_a[0] + off)
-    assert b[0] == pytest.approx(seg.endpoint_b[0] + off)
+def test_world_helper_matches_planner_translation(desk):
+    # every painted segment's last paint tick sits on one of its endpoints,
+    # drifted to that tick
+    x = solution_from_boundaries(base_boundaries(desk), desk)
+    traj, _ = simulate(decode(x, desk), desk)
+    world = _World(desk, desk.config.mu)
+    checked = 0
+    for arm in desk.left_arms():
+        row = traj.arm_index(arm.id)
+        for sid in np.unique(traj.seg_ids[row]):
+            if sid < 1:
+                continue
+            t = int(np.nonzero((traj.seg_ids[row] == sid) & (traj.actions[row] == PAINT))[0][-1])
+            seg = desk.segment(int(sid))
+            ends = [world.at(p, t) for p in (seg.endpoint_a, seg.endpoint_b)]
+            pos = traj.positions[row, t]
+            assert min(np.abs(pos - e).max() for e in ends) < 1e-6
+            checked += 1
+    assert checked == desk.n_segs
 
 
 def test_yaml_round_trip(tmp_path, desk):
