@@ -137,11 +137,11 @@ def cmd_solve(args) -> int:
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.perf_counter()
-    result = ga.run(scene, scene.config, ga_cfg)
+    result = ga.run(scene, ga_cfg=ga_cfg)
     elapsed = time.perf_counter() - t0
 
     assign = decode(result.best, scene)
-    traj, _ = simulate(assign, scene, scene.config)
+    traj, _ = simulate(assign, scene)
     report = result.report
 
     save_scene(scene, out / "scenario.yaml")
@@ -168,9 +168,7 @@ def cmd_solve(args) -> int:
         from .seeding import build_seed_population
         import numpy as np
 
-        seeds = build_seed_population(
-            scene, scene.config, ga_cfg.n_pop, np.random.default_rng(ga_cfg.seed)
-        )
+        seeds = build_seed_population(scene, ga_cfg.n_pop, np.random.default_rng(ga_cfg.seed))
         (out / "seeds.json").write_text(
             json.dumps({"format_version": 1, "seeds": [list(s.genes) for s in seeds]})
         )
@@ -221,7 +219,7 @@ def cmd_audit(args) -> int:
     if len(flat) != len(set(flat)):
         raise ScenarioError("segment assigned to more than one arm")
 
-    report, _ = evaluate_assignment(assign, scene, scene.config)
+    report, _ = evaluate_assignment(assign, scene)
     payload = report.to_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2))
@@ -251,7 +249,7 @@ def cmd_ablate(args) -> int:
                 use_repair_bottom_up=r2,
                 use_repair_few_arms=r3,
             )
-            result = ga.run(scene, scene.config, ga_cfg)
+            result = ga.run(scene, ga_cfg=ga_cfg)
             feas_gen = next(
                 (r.generation for r in result.trace.generations if r.best_feasible), -1
             )

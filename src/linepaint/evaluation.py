@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .genotype import ArmAssignment, UpperSolution, decode
-from .lower_sim import SimMetrics, order_violation_counts, simulate
-from .scene import ScenarioConfig, VehicleScene
+from .lower_sim import SimMetrics, simulate
+from .scene import ScenarioConfig, VehicleScene, _scene_under
 
 
 @dataclass
@@ -66,35 +66,27 @@ def order_penalty(order_counts: dict[int, int], cfg: ScenarioConfig) -> float:
     return cfg.rho_unvisits * excess
 
 
-def _back_door_ok(assign: ArmAssignment, scene: VehicleScene, cfg: ScenarioConfig) -> bool:
-    # assignment lists are ordered front row first
-    return not cfg.back_door_rule or scene.back_door_ids.isdisjoint(assign[-1])
-
-
 def evaluate_assignment(
     assign: ArmAssignment, scene: VehicleScene, cfg: ScenarioConfig | None = None
 ) -> tuple[EvaluationReport, SimMetrics]:
-    cfg = cfg or scene.config
-    _, metrics = simulate(assign, scene, cfg)
-    return report_from_metrics(metrics, assign, scene, cfg), metrics
+    scene = _scene_under(scene, cfg)
+    _, metrics = simulate(assign, scene)
+    return report_from_metrics(metrics, assign, scene), metrics
 
 
 def report_from_metrics(
-    metrics: SimMetrics,
-    assign: ArmAssignment | None,
-    scene: VehicleScene,
-    cfg: ScenarioConfig,
+    metrics: SimMetrics, assign: ArmAssignment, scene: VehicleScene
 ) -> EvaluationReport:
+    cfg = scene.config
     p_range = range_penalty(metrics, cfg)
     p_col = collision_penalty(metrics, cfg)
-    order_counts = metrics.order_violations or order_violation_counts(
-        metrics.paint_start_times, scene
-    )
+    order_counts = metrics.order_violations
     p_order = order_penalty(order_counts, cfg)
     work = metrics.work_time_max
     objective = work + p_range + p_col + p_order
 
-    back_ok = assign is None or _back_door_ok(assign, scene, cfg)
+    # assignment lists are ordered front row first
+    back_ok = not cfg.back_door_rule or scene.back_door_ids.isdisjoint(assign[-1])
     strong = (
         p_range == 0.0
         and metrics.t_col == 0.0
@@ -108,11 +100,10 @@ def report_from_metrics(
         notes.append("last arm assigned back-door segments")
     if work > cfg.t_p:
         notes.append(f"work time {work:.2f}s exceeds prescribed {cfg.t_p:.2f}s")
-    if assign is not None:
-        arm_panels = [{scene.segment(s).panel_id for s in segs} for segs in assign]
-        multi = sum(1 for p in scene.panels if sum(p.id in ps for ps in arm_panels) > 1)
-        if multi:
-            notes.append(f"{multi} panels painted by more than one arm")
+    arm_panels = [{scene.segment(s).panel_id for s in segs} for segs in assign]
+    multi = sum(1 for p in scene.panels if sum(p.id in ps for ps in arm_panels) > 1)
+    if multi:
+        notes.append(f"{multi} panels painted by more than one arm")
     return EvaluationReport(
         objective=objective,
         work_time_max=work,
@@ -129,10 +120,6 @@ def report_from_metrics(
     )
 
 
-def evaluate(
-    x: UpperSolution, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> EvaluationReport:
-    cfg = cfg or scene.config
-    assign = decode(x, scene)
-    report, _ = evaluate_assignment(assign, scene, cfg)
+def evaluate(x: UpperSolution, scene: VehicleScene) -> EvaluationReport:
+    report, _ = evaluate_assignment(decode(x, scene), scene)
     return report

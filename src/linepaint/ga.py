@@ -17,7 +17,7 @@ import numpy as np
 from .evaluation import EvaluationReport, evaluate
 from .genotype import UpperSolution
 from .repair import repair_all
-from .scene import ScenarioConfig, VehicleScene
+from .scene import ScenarioConfig, VehicleScene, _scene_under
 from .seeding import build_seed_population, random_population
 
 
@@ -36,8 +36,14 @@ class GaConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_pop % 2:
-            raise ValueError("n_pop must be even")
+        if self.n_pop < 2 or self.n_pop % 2:
+            raise ValueError("n_pop must be even and at least 2")
+        if self.n_gen < 0:
+            raise ValueError("n_gen must not be negative")
+        if not 0 <= self.elitism_count <= self.n_pop:
+            raise ValueError("elitism_count must lie in [0, n_pop]")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.n_t < 2:
             raise ValueError("tournament size must be at least 2")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -119,30 +125,28 @@ def inversion_mutation(x: UpperSolution, rate: float, rng) -> UpperSolution:
 # ---------------------------------------------------------------------------
 # parallel evaluation
 
-_worker_env: tuple[VehicleScene, ScenarioConfig] | None = None
+_worker_scene: VehicleScene | None = None
 
 
-def _init_worker(scene, cfg):
-    global _worker_env
-    _worker_env = (scene, cfg)
+def _init_worker(scene):
+    global _worker_scene
+    _worker_scene = scene
 
 
 def _eval_genes(genes):
-    scene, cfg = _worker_env
-    return evaluate(UpperSolution(genes), scene, cfg)
+    return evaluate(UpperSolution(genes), _worker_scene)
 
 
 class PopulationEvaluator:
     """Caches reports by genotype; optional fork-based worker pool."""
 
-    def __init__(self, scene: VehicleScene, cfg: ScenarioConfig, workers: int = 1):
-        self.scene = scene
-        self.cfg = cfg
+    def __init__(self, scene: VehicleScene, cfg: ScenarioConfig | None = None, workers: int = 1):
+        self.scene = scene = _scene_under(scene, cfg)
         self.cache: dict[tuple[int, ...], EvaluationReport] = {}
         self.pool = None
         if workers > 1:
             ctx = multiprocessing.get_context("fork")
-            self.pool = ctx.Pool(workers, initializer=_init_worker, initargs=(scene, cfg))
+            self.pool = ctx.Pool(workers, initializer=_init_worker, initargs=(scene,))
 
     def evaluate_all(self, pop: list[UpperSolution]) -> list[EvaluationReport]:
         missing = sorted({x.genes for x in pop if x.genes not in self.cache})
@@ -150,7 +154,7 @@ class PopulationEvaluator:
             if self.pool is not None:
                 reports = self.pool.map(_eval_genes, missing)
             else:
-                reports = [evaluate(UpperSolution(g), self.scene, self.cfg) for g in missing]
+                reports = [evaluate(UpperSolution(g), self.scene) for g in missing]
             self.cache.update(zip(missing, reports))
         return [self.cache[x.genes] for x in pop]
 
@@ -171,21 +175,21 @@ def run(
     ga_cfg: GaConfig | None = None,
     seed_population: list[UpperSolution] | None = None,
 ) -> GaResult:
-    cfg = cfg or scene.config
+    scene = _scene_under(scene, cfg)
     ga_cfg = ga_cfg or GaConfig()
     rng = np.random.default_rng(ga_cfg.seed)
-    n_dim = scene.n_segs + cfg.n_d
+    n_dim = scene.n_segs + scene.config.n_d
 
     if seed_population is not None:
         if len(seed_population) != ga_cfg.n_pop:
             raise ValueError("seed population size must equal n_pop")
         pop = list(seed_population)
     elif ga_cfg.use_seeding:
-        pop = build_seed_population(scene, cfg, ga_cfg.n_pop, rng)
+        pop = build_seed_population(scene, ga_cfg.n_pop, rng)
     else:
-        pop = random_population(scene, cfg, ga_cfg.n_pop, rng)
+        pop = random_population(scene, ga_cfg.n_pop, rng)
 
-    evaluator = PopulationEvaluator(scene, cfg, ga_cfg.workers)
+    evaluator = PopulationEvaluator(scene, workers=ga_cfg.workers)
     trace = RunTrace()
     try:
         reports = evaluator.evaluate_all(pop)
@@ -210,7 +214,6 @@ def run(
                     child = repair_all(
                         child,
                         scene,
-                        cfg,
                         use_bottom_up=ga_cfg.use_repair_bottom_up,
                         use_few_arms=ga_cfg.use_repair_few_arms,
                     )

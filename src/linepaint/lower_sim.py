@@ -18,12 +18,14 @@ in world coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .genotype import ArmAssignment
-from .scene import ScenarioConfig, ScenarioError, VehicleScene, VERTICAL_KINDS, _World
+from .scene import (
+    ScenarioConfig, ScenarioError, VehicleScene, VERTICAL_KINDS, _World, _scene_under
+)
 
 WAIT, MOVE, PAINT, REORIENT, HOME = 0, 1, 2, 3, 4
 ACTION_NAMES = ("wait", "move", "paint", "reorient", "home")
@@ -67,21 +69,15 @@ class Trajectory:
 # reachability windows
 
 
-def _scene_under(scene: VehicleScene, cfg: ScenarioConfig | None) -> VehicleScene:
-    """The scene itself, or for another config a copy whose views are
-    computed afresh and not kept."""
-    return scene if cfg is None or cfg == scene.config else replace(scene, config=cfg)
-
-
 def reach_windows(scene: VehicleScene, cfg: ScenarioConfig | None = None):
     """Per (one-side arm id, segment id): tick interval during which both
     world-frame endpoints sit inside the arm's sphere, or None if never."""
     return _scene_under(scene, cfg).windows
 
 
-def never_reachable(scene: VehicleScene, cfg: ScenarioConfig | None = None):
+def never_reachable(scene: VehicleScene):
     """Set of (arm id, segment id) pairs out of range over the whole horizon."""
-    return _scene_under(scene, cfg).never_reachable
+    return scene.never_reachable
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,10 @@ _KIND_CLASS = {"vertical_side": "side", "hood": "top", "roof": "top", "back_door
 # the planner
 
 
-def _plan_pair(scene, cfg, left, right, seg_ids, windows, metrics, world):
+def _plan_pair(scene, left, right, seg_ids, metrics, world):
     """Plan one left arm and its mirror partner; fills tapes and metrics."""
+    cfg = scene.config
+    windows = scene.windows
     tape_l = _Tape(left.center)
     tape_r = _Tape(right.center)
     unvisited = 0
@@ -334,17 +332,16 @@ def _render(tapes: list[_Tape], arm_ids, cfg) -> Trajectory:
     )
 
 
-def simulate(
-    assign: ArmAssignment, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> tuple[Trajectory, SimMetrics]:
-    """Plan trajectories for all arms (both sides) and collect audit metrics."""
-    cfg = cfg or scene.config
+def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:
+    """Plan trajectories for all arms (both sides) under ``scene.config`` and
+    collect audit metrics."""
+    cfg = scene.config
+    # scenes built in Python skip validate_scene, which checks this at load
     if cfg.v_mv * 0.999 <= scene.line.velocity:
         raise ScenarioError("transit speed must exceed line velocity")
     left_arms = scene.left_arms()
     if len(assign) != len(left_arms):
         raise ValueError(f"expected {len(left_arms)} assignment lists, got {len(assign)}")
-    windows = reach_windows(scene, cfg)
     world = _World(scene, cfg.mu)
     metrics = SimMetrics()
 
@@ -356,7 +353,7 @@ def simulate(
     tapes_l, tapes_r, ids_l, ids_r = [], [], [], []
     for arm, seg_ids in zip(left_arms, assign):
         partner = scene.arm(arm.mirror_partner)
-        tl, tr = _plan_pair(scene, cfg, arm, partner, seg_ids, windows, metrics, world)
+        tl, tr = _plan_pair(scene, arm, partner, seg_ids, metrics, world)
         tapes_l.append(tl)
         ids_l.append(arm.id)
         tapes_r.append(tr)

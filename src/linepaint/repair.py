@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .genotype import UpperSolution
 from .lower_sim import never_reachable
-from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS
+from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS, _scene_under
 
 
 def _slots(n_dim: int, n_arms: int):
@@ -29,14 +29,11 @@ def _arm_of(pos: int, n_dim: int, n_arms: int) -> int:
     return pos // (n_dim // n_arms)
 
 
-def repair_reachability(
-    x: UpperSolution, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> UpperSolution:
+def repair_reachability(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     """Repair operator 1: for each segment its arm can never reach, scan from
     the front of the genotype for the first swap that removes the violation
     without creating a new one; leave it (penalty territory) if none exists."""
-    cfg = cfg or scene.config
-    bad = never_reachable(scene, cfg)
+    bad = never_reachable(scene)
     if not bad:
         return x
     genes = list(x.genes)
@@ -105,9 +102,7 @@ def _panel_incidence(genes, scene: VehicleScene) -> dict[tuple[int, int], list[i
     return positions
 
 
-def repair_few_arms(
-    x: UpperSolution, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> UpperSolution:
+def repair_few_arms(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     """Repair operator 3: swap arm a1's panel-b1 segments with arm a2's
     panel-b2 segments (equal counts) while that strictly reduces the number
     of arms painting some panel without raising it anywhere.
@@ -116,8 +111,7 @@ def repair_few_arms(
     panel-b2 gene of a2 moves, so each swap lowers the arm counts of b1 and
     b2 by one and changes no other: the loop ends within sum(counts)/2
     rounds."""
-    cfg = cfg or scene.config
-    bad = never_reachable(scene, cfg)
+    bad = never_reachable(scene)
     genes = list(x.genes)
     n_arms = scene.n_arms_side
     arms = scene.left_arms()
@@ -153,12 +147,9 @@ def repair_few_arms(
             return UpperSolution(tuple(genes))
 
 
-def repair_back_door(
-    x: UpperSolution, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> UpperSolution:
+def repair_back_door(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     """Repair operator 4: the rearmost arm must not paint the back door."""
-    cfg = cfg or scene.config
-    if not cfg.back_door_rule:
+    if not scene.config.back_door_rule:
         return x
     back = scene.back_door_ids
     if not back:
@@ -168,7 +159,7 @@ def repair_back_door(
     n_arms = scene.n_arms_side
     n_segs = scene.n_segs
     arms = scene.left_arms()
-    bad = never_reachable(scene, cfg)
+    bad = never_reachable(scene)
     last_slot = _slots(n_dim, n_arms)[-1]
     last_id = arms[-1].id
     for pos in last_slot:
@@ -196,11 +187,11 @@ def repair_all(
     use_bottom_up: bool = True,
     use_few_arms: bool = True,
 ) -> UpperSolution:
-    cfg = cfg or scene.config
-    x = repair_reachability(x, scene, cfg)
-    x = repair_back_door(x, scene, cfg)
+    scene = _scene_under(scene, cfg)
+    x = repair_reachability(x, scene)
+    x = repair_back_door(x, scene)
     if use_bottom_up:
         x = repair_bottom_up(x, scene)
     if use_few_arms:
-        x = repair_few_arms(x, scene, cfg)
+        x = repair_few_arms(x, scene)
     return x

@@ -17,6 +17,7 @@ vehicle front crosses ``reference_position`` at t = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -275,10 +276,22 @@ def validate_scene(scene: VehicleScene) -> VehicleScene:
     if scene.line.velocity <= 0:
         raise ScenarioError("line velocity must be positive")
     cfg = scene.config
-    if cfg.mu <= 0:
-        raise ScenarioError("mu must be positive")
+    for name in ("v_sp", "gamma_col", "t_p", "mu"):
+        if getattr(cfg, name) <= 0:
+            raise ScenarioError(f"{name} must be positive")
+    if cfg.v_mv * 0.999 <= scene.line.velocity:
+        raise ScenarioError("transit speed must exceed line velocity")
+    if cfg.head_turn_wait < 0:
+        raise ScenarioError("head_turn_wait must not be negative")
     if min(cfg.rho_out, cfg.rho_unvisits, cfg.rho_col) <= 0:
         raise ScenarioError("penalty weights must be positive")
+    for name, least in (("t_max", 1), ("epsilon", 0), ("delta", 0), ("n_d", 0)):
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+    n_dim = len(scene.segments) + cfg.n_d
+    if n_dim % len(left):
+        raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {len(left)} arms")
     return scene
 
 
@@ -551,3 +564,9 @@ def default_dummy_count(n_segs: int, n_arms_side: int) -> int:
 
 def with_config(scene: VehicleScene, **kwargs) -> VehicleScene:
     return replace(scene, config=replace(scene.config, **kwargs))
+
+
+def _scene_under(scene: VehicleScene, cfg: ScenarioConfig | None) -> VehicleScene:
+    """The scene itself, or for another config a copy whose views are
+    computed afresh."""
+    return scene if cfg is None or cfg == scene.config else replace(scene, config=cfg)

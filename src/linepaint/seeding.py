@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .genotype import UpperSolution, random_solution
-from .scene import ScenarioConfig, ScenarioError, VehicleScene
+from .scene import ScenarioError, VehicleScene
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,12 @@ def base_boundaries(scene: VehicleScene) -> BoundarySet:
     return BoundarySet(tuple(round(i * stack / n) for i in range(1, n)))
 
 
-def solution_from_boundaries(
-    bounds: BoundarySet, scene: VehicleScene, cfg: ScenarioConfig | None = None
-) -> UpperSolution | None:
+def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperSolution | None:
     """Build the genotype whose per-panel blocks follow the boundary heights;
     None when a block overflows its slot."""
-    cfg = cfg or scene.config
     n_arms = scene.n_arms_side
     n_segs = scene.n_segs
-    n_dim = n_segs + cfg.n_d
+    n_dim = n_segs + scene.config.n_d
     if n_dim % n_arms:
         raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {n_arms} arms")
     width = n_dim // n_arms
@@ -89,8 +86,9 @@ def solution_from_boundaries(
     return UpperSolution(tuple(genes))
 
 
-def enumerate_boundary_sets(scene: VehicleScene, cfg: ScenarioConfig, limit: int):
+def enumerate_boundary_sets(scene: VehicleScene, limit: int):
     """Base set first, then the depth-first +-1..+-delta shift enumeration."""
+    delta = scene.config.delta
     base = base_boundaries(scene)
     _, _, stack = _reference_stack_size(scene)
     out = [base]
@@ -103,7 +101,7 @@ def enumerate_boundary_sets(scene: VehicleScene, cfg: ScenarioConfig, limit: int
             if shifted != base.heights:
                 out.append(BoundarySet(shifted))
             return
-        for j in range(1, cfg.delta + 1):
+        for j in range(1, delta + 1):
             for sign in (1, -1):
                 h = base.heights[i] + sign * j
                 if 1 <= h <= stack - 1:
@@ -111,23 +109,18 @@ def enumerate_boundary_sets(scene: VehicleScene, cfg: ScenarioConfig, limit: int
                 if len(out) >= limit:
                     return
 
-    if cfg.delta > 0 and n_b > 0:
+    if delta > 0 and n_b > 0:
         extend(base.heights, 0)
     return out
 
 
-def build_seed_population(
-    scene: VehicleScene,
-    cfg: ScenarioConfig,
-    n_pop: int,
-    rng,
-) -> list[UpperSolution]:
+def build_seed_population(scene: VehicleScene, n_pop: int, rng) -> list[UpperSolution]:
     """Boundary-aligned seeds (equal split first) topped up with random
     permutations to n_pop individuals."""
-    n_dim = scene.n_segs + cfg.n_d
+    n_dim = scene.n_segs + scene.config.n_d
     pop: list[UpperSolution] = []
-    for bounds in enumerate_boundary_sets(scene, cfg, n_pop - 1):
-        sol = solution_from_boundaries(bounds, scene, cfg)
+    for bounds in enumerate_boundary_sets(scene, n_pop - 1):
+        sol = solution_from_boundaries(bounds, scene)
         if sol is not None:
             pop.append(sol)
         if len(pop) >= n_pop - 1:
@@ -137,6 +130,6 @@ def build_seed_population(
     return pop
 
 
-def random_population(scene: VehicleScene, cfg: ScenarioConfig, n_pop: int, rng):
-    n_dim = scene.n_segs + cfg.n_d
+def random_population(scene: VehicleScene, n_pop: int, rng):
+    n_dim = scene.n_segs + scene.config.n_d
     return [random_solution(n_dim, rng) for _ in range(n_pop)]

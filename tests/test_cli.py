@@ -96,6 +96,50 @@ def test_line_direction_other_than_x_exits_two(tmp_path, desk, direction, reject
     assert (audit == 2, solve == 2) == (rejected, rejected)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("v_sp", 0.0),
+        ("v_sp", -1.0),
+        ("v_mv", 98.0),  # desk's line moves at 98 mm/s
+        ("gamma_col", 0.0),
+        ("gamma_col", -300.0),
+        ("t_p", 0.0),
+        ("t_p", -5.0),
+        ("head_turn_wait", -0.5),
+        ("t_max", 0),
+        ("t_max", 12000.5),
+        ("epsilon", -1),
+        ("epsilon", 0.5),
+        ("delta", -1),
+        ("n_d", -3),
+        ("n_d", 31),
+    ],
+)
+def test_invalid_config_value_exits_two(tmp_path, desk, key, value):
+    doc = scene_to_dict(desk)
+    doc["config"][key] = value
+    scenario = tmp_path / "scene.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assignment = tmp_path / "assignment.json"
+    x = solution_from_boundaries(base_boundaries(desk), desk)
+    assignment.write_text(json.dumps({"format_version": 1, "genes": list(x.genes)}))
+    out = tmp_path / "run"
+    assert main(["audit", "--scenario", str(scenario), "--assignment", str(assignment)]) == 2
+    assert main(["solve", "--scenario", str(scenario), "--gens", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--pop", "-2"), ("--pop", "0"), ("--gens", "-1"), ("--workers", "0")]
+)
+def test_impossible_ga_config_exits_two(tmp_path, option, value):
+    out = tmp_path / "run"
+    args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "3", "--out", str(out)]
+    assert main(args + [option, value]) == 2
+    assert not out.exists()
+
+
 def test_audit_matches_solver_pipeline(tmp_path, desk):
     x = solution_from_boundaries(base_boundaries(desk), desk)
     path = tmp_path / "assignment.json"

@@ -99,7 +99,7 @@ def test_monotone_under_injected_violations(desk):
     worse.t_out[1] = worse.t_out.get(1, 0.0) + 0.5
     worse.t_col += 0.2
     worse.n_unvisits[1] = worse.n_unvisits.get(1, 0) + 1
-    bumped = report_from_metrics(worse, assign, desk, desk.config)
+    bumped = report_from_metrics(worse, assign, desk)
     assert bumped.objective > report.objective
     assert not bumped.strong_feasible
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from linepaint.ga import (
 )
 from linepaint.genotype import UpperSolution, random_solution, validate
 from linepaint.presets import desk_scene
+from linepaint.scene import VehicleScene
 
 
 def test_tournament_picks_lowest_objective():
@@ -84,12 +87,20 @@ def test_mutation_swaps_two_distinct_positions():
 
 
 def test_ga_config_validation():
-    with pytest.raises(ValueError):
-        GaConfig(n_pop=7)
-    with pytest.raises(ValueError):
-        GaConfig(n_t=1)
-    with pytest.raises(ValueError):
-        GaConfig(mutation_rate=1.5)
+    for bad in (
+        dict(n_pop=7),
+        dict(n_t=1),
+        dict(mutation_rate=1.5),
+        dict(n_pop=0),
+        dict(n_pop=-2),
+        dict(n_gen=-1),
+        dict(elitism_count=-1),
+        dict(n_pop=4, elitism_count=6),
+        dict(workers=0),
+    ):
+        with pytest.raises(ValueError):
+            GaConfig(**bad)
+    GaConfig(n_pop=2, n_gen=0, elitism_count=2)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +147,22 @@ def test_workers_do_not_change_results(small_desk):
     finally:
         seq.close()
         par.close()
+
+
+def test_explicit_config_computes_windows_once(small_desk, monkeypatch):
+    # the run resolves the config into one scene copy that every generation reuses
+    windows = VehicleScene.__dict__["windows"]
+    compute = windows.func
+    computed = []
+
+    def counted(scene):
+        computed.append(scene.config)
+        return compute(scene)
+
+    monkeypatch.setattr(windows, "func", counted)
+    cfg = dataclasses.replace(small_desk.config, rho_col=999.0)
+    run(small_desk, cfg, GaConfig(n_pop=10, n_gen=2))
+    assert computed == [cfg]
 
 
 def test_seed_population_must_match_size(small_desk):

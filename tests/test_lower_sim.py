@@ -2,8 +2,11 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
-from linepaint.genotype import decode
+from linepaint import ga
+from linepaint.evaluation import evaluate_assignment
+from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import (
     PAINT,
     Trajectory,
@@ -25,6 +28,7 @@ from linepaint.scene import (
     generate_synthetic_scene,
     with_config,
 )
+from linepaint.repair import repair_all
 from linepaint.seeding import base_boundaries, solution_from_boundaries
 
 from _oracles import (
@@ -73,7 +77,7 @@ def test_paint_phase_lasts_exactly_100_ticks():
     # 1250 mm segment at v_sp=1250 mm/s, mu=0.01 -> 100 paint ticks
     cfg = ScenarioConfig(v_sp=1250.0, v_mv=1250.0, n_d=1)
     scene = toy_scene(n_segs=1, cfg=cfg)
-    traj, metrics = simulate(((1,),), scene, cfg)
+    traj, metrics = simulate(((1,),), scene)
     i = traj.arm_index(1)
     assert int((traj.seg_ids[i] == 1).sum()) == 100
     assert metrics.n_unvisits[1] == 0
@@ -150,7 +154,9 @@ def test_reach_windows_follow_config_and_arms(desk):
     short = reach_windows(desk, short_cfg)
     assert short == reach_windows(with_config(desk, t_max=500))
     assert short != reach_windows(desk)
-    assert never_reachable(desk, short_cfg) == never_reachable(with_config(desk, t_max=500))
+    assert never_reachable(with_config(desk, t_max=500)) == {
+        key for key, win in short.items() if win is None
+    }
     # desk's own views are cached by the calls above; a copy with other arms
     # must compute its own
     assert not never_reachable(desk)
@@ -159,6 +165,32 @@ def test_reach_windows_follow_config_and_arms(desk):
     )
     assert set(reach_windows(shrunk).values()) == {None}
     assert never_reachable(shrunk) == set(reach_windows(desk))
+
+
+def _call_entry_point(name, scene, cfg=None):
+    x = random_solution(scene.n_segs + scene.config.n_d, np.random.default_rng(3))
+    if name == "run":
+        return ga.run(scene, cfg, ga.GaConfig(n_pop=4, n_gen=1))
+    if name == "PopulationEvaluator":
+        evaluator = ga.PopulationEvaluator(scene, cfg)
+        try:
+            return evaluator.evaluate_all([x])
+        finally:
+            evaluator.close()
+    if name == "evaluate_assignment":
+        return evaluate_assignment(decode(x, scene), scene, cfg)
+    if name == "repair_all":
+        return repair_all(x, scene, cfg)
+    return reach_windows(scene, cfg)
+
+
+@pytest.mark.parametrize(
+    "name", ["run", "PopulationEvaluator", "evaluate_assignment", "repair_all", "reach_windows"]
+)
+def test_entry_points_follow_explicit_config(desk, name):
+    explicit = _call_entry_point(name, desk, dataclasses.replace(desk.config, t_max=500))
+    assert explicit == _call_entry_point(name, with_config(desk, t_max=500))
+    assert explicit != _call_entry_point(name, desk)
 
 
 def test_empty_assignment_waits_at_home():

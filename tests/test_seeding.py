@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linepaint.genotype import decode, validate
-from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene
+from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene, with_config
 from linepaint.seeding import (
     BoundarySet,
     base_boundaries,
@@ -51,17 +51,11 @@ def test_equal_split_base_boundaries(desk):
 
 
 def test_delta_zero_yields_single_seed(desk):
-    import dataclasses
-
-    cfg = dataclasses.replace(desk.config, delta=0)
-    assert enumerate_boundary_sets(desk, cfg, 99) == [base_boundaries(desk)]
+    assert enumerate_boundary_sets(with_config(desk, delta=0), 99) == [base_boundaries(desk)]
 
 
 def test_delta_one_three_arms_yields_one_plus_four(desk):
-    import dataclasses
-
-    cfg = dataclasses.replace(desk.config, delta=1)
-    sets = enumerate_boundary_sets(desk, cfg, 99)
+    sets = enumerate_boundary_sets(with_config(desk, delta=1), 99)
     # base + full +-1 enumeration over the 2 boundaries
     assert len(sets) == 1 + 4
     assert sets[0] == base_boundaries(desk)
@@ -76,9 +70,8 @@ def test_delta_one_three_arms_yields_one_plus_four(desk):
 
 
 def test_seeds_are_valid_and_boundary_aligned(desk):
-    cfg = desk.config
-    for bounds in enumerate_boundary_sets(desk, cfg, 30):
-        x = solution_from_boundaries(bounds, desk, cfg)
+    for bounds in enumerate_boundary_sets(desk, 30):
+        x = solution_from_boundaries(bounds, desk)
         if x is None:
             continue
         assert validate(x) is None
@@ -105,7 +98,7 @@ def test_seeds_are_valid_and_boundary_aligned(desk):
 
 def test_population_filled_to_size(desk):
     rng = np.random.default_rng(0)
-    pop = build_seed_population(desk, desk.config, 100, rng)
+    pop = build_seed_population(desk, 100, rng)
     assert len(pop) == 100
     assert all(validate(x) is None for x in pop)
     assert pop[0] == solution_from_boundaries(base_boundaries(desk), desk)
