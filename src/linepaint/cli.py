@@ -197,20 +197,25 @@ def cmd_solve(args) -> int:
 def cmd_audit(args) -> int:
     scene = _load(args)
     doc = json.loads(Path(args.assignment).read_text())
-    if doc.get("format_version", 1) != 1:
-        raise ScenarioError(f"unsupported assignment format_version {doc.get('format_version')}")
-    if "genes" in doc:
-        sol = UpperSolution(tuple(int(g) for g in doc["genes"]))
-        assign = decode(sol, scene)
-    elif "arms" in doc:
-        rows = sorted(doc["arms"], key=int)
-        if len(rows) != scene.n_arms_side:
+    try:
+        if doc.get("format_version", 1) != 1:
             raise ScenarioError(
-                f"assignment has {len(rows)} arms, scene has {scene.n_arms_side} per side"
+                f"unsupported assignment format_version {doc.get('format_version')}"
             )
-        assign = tuple(tuple(int(s) for s in doc["arms"][r]) for r in rows)
-    else:
-        raise ScenarioError("assignment file needs a 'genes' or 'arms' field")
+        if "genes" in doc:
+            sol = UpperSolution(tuple(int(g) for g in doc["genes"]))
+            assign = decode(sol, scene)
+        elif "arms" in doc:
+            rows = sorted(doc["arms"], key=int)
+            if len(rows) != scene.n_arms_side:
+                raise ScenarioError(
+                    f"assignment has {len(rows)} arms, scene has {scene.n_arms_side} per side"
+                )
+            assign = tuple(tuple(int(s) for s in doc["arms"][r]) for r in rows)
+        else:
+            raise ScenarioError("assignment file needs a 'genes' or 'arms' field")
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ScenarioError(f"malformed assignment document: {exc}") from exc
     known = set(range(1, scene.n_segs + 1))
     flat = [s for row in assign for s in row]
     unknown = sorted(set(flat) - known)

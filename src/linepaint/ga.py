@@ -173,18 +173,13 @@ def run(
     scene: VehicleScene,
     cfg: ScenarioConfig | None = None,
     ga_cfg: GaConfig | None = None,
-    seed_population: list[UpperSolution] | None = None,
 ) -> GaResult:
     scene = _scene_under(scene, cfg)
     ga_cfg = ga_cfg or GaConfig()
     rng = np.random.default_rng(ga_cfg.seed)
     n_dim = scene.n_segs + scene.config.n_d
 
-    if seed_population is not None:
-        if len(seed_population) != ga_cfg.n_pop:
-            raise ValueError("seed population size must equal n_pop")
-        pop = list(seed_population)
-    elif ga_cfg.use_seeding:
+    if ga_cfg.use_seeding:
         pop = build_seed_population(scene, ga_cfg.n_pop, rng)
     else:
         pop = random_population(scene, ga_cfg.n_pop, rng)

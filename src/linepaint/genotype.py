@@ -17,14 +17,6 @@ from .scene import VehicleScene
 class UpperSolution:
     genes: tuple[int, ...]
 
-    @property
-    def n_dim(self) -> int:
-        return len(self.genes)
-
-    def slot(self, arm_index: int, n_slots: int) -> tuple[int, ...]:
-        width = len(self.genes) // n_slots
-        return self.genes[arm_index * width : (arm_index + 1) * width]
-
 
 # per one-side arm (frontmost first): real segment ids in visit order
 ArmAssignment = tuple[tuple[int, ...], ...]

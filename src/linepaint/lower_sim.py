@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .genotype import ArmAssignment
-from .scene import (
-    ScenarioConfig, ScenarioError, VehicleScene, VERTICAL_KINDS, _World, _scene_under
-)
+from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS, _World, _scene_under
 
 WAIT, MOVE, PAINT, REORIENT, HOME = 0, 1, 2, 3, 4
 ACTION_NAMES = ("wait", "move", "paint", "reorient", "home")
@@ -56,10 +54,6 @@ class Trajectory:
     seg_ids: np.ndarray  # (n_arms, n_ticks + 1), -1 when not painting
     homes: np.ndarray  # (n_arms, 3)
     mu: float
-
-    @property
-    def n_ticks(self) -> int:
-        return self.positions.shape[1] - 1
 
     def arm_index(self, arm_id: int) -> int:
         return self.arm_ids.index(arm_id)
@@ -336,9 +330,6 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
     """Plan trajectories for all arms (both sides) under ``scene.config`` and
     collect audit metrics."""
     cfg = scene.config
-    # scenes built in Python skip validate_scene, which checks this at load
-    if cfg.v_mv * 0.999 <= scene.line.velocity:
-        raise ScenarioError("transit speed must exceed line velocity")
     left_arms = scene.left_arms()
     if len(assign) != len(left_arms):
         raise ValueError(f"expected {len(left_arms)} assignment lists, got {len(assign)}")

@@ -14,6 +14,9 @@ ARM_COLORS = (
     "#ff7f0e", "#8c564b", "#17becf", "#e377c2",
 )
 
+# plot every SUBSAMPLE-th tick, plus every paint tick and the last one
+SUBSAMPLE = 5
+
 
 def _polyline(xs, ys, color: str, width: float, dash: str = "") -> str:
     pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
@@ -78,19 +81,17 @@ def _project(p, axis_label: str):
     return p[..., 0], p[..., 1]  # side view: x along, y up
 
 
-def render_svg(traj: Trajectory, scene: VehicleScene, subsample: int = 5) -> str:
+def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
     # positions with the line drift removed
     world = _World(scene, traj.mu)
     pts = traj.positions.copy()
     pts[:, :, 0] -= world.off0 + world.k * np.arange(pts.shape[1], dtype=float)
-    acts = traj.actions
-    if subsample > 1:
-        keep = np.zeros(pts.shape[1], dtype=bool)
-        keep[::subsample] = True
-        keep[-1] = True
-        keep |= (acts == PAINT).any(axis=0)  # keep every paint tick
-        pts = pts[:, keep]
-        acts = acts[:, keep]
+    keep = np.zeros(pts.shape[1], dtype=bool)
+    keep[::SUBSAMPLE] = True
+    keep[-1] = True
+    keep |= (traj.actions == PAINT).any(axis=0)  # keep every paint tick
+    pts = pts[:, keep]
+    acts = traj.actions[:, keep]
     width, height, pad = 900.0, 340.0, 30.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -122,6 +123,6 @@ def render_svg(traj: Trajectory, scene: VehicleScene, subsample: int = 5) -> str
     return "\n".join(parts)
 
 
-def save_svg(traj: Trajectory, scene: VehicleScene, path, subsample: int = 5) -> None:
+def save_svg(traj: Trajectory, scene: VehicleScene, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(traj, scene, subsample))
+        fh.write(render_svg(traj, scene))

@@ -111,6 +111,66 @@ class VehicleScene:
     line: LineKinematics
     config: ScenarioConfig = field(default=ScenarioConfig())
 
+    def __post_init__(self):
+        """Raise ScenarioError on any inconsistency, however the scene was built."""
+        if len(self._panel_by_id) != len(self.panels):
+            raise ScenarioError("duplicate panel id")
+        for p in self.panels:
+            if p.kind not in PANEL_KINDS:
+                raise ScenarioError(f"panel {p.id}: unknown kind {p.kind!r}")
+            if p.expansion_rule not in EXPANSION_RULES:
+                raise ScenarioError(f"panel {p.id}: unknown expansion rule {p.expansion_rule!r}")
+            if p.kind == "vertical_side" and p.expansion_rule != "mirror":
+                raise ScenarioError(f"panel {p.id}: vertical_side panels must use the mirror rule")
+            if p.kind != "vertical_side" and p.expansion_rule == "mirror":
+                raise ScenarioError(f"panel {p.id}: {p.kind} panels must use parallel expansion")
+        # segment() looks ids up by position
+        if [s.id for s in self.segments] != list(range(1, self.n_segs + 1)):
+            raise ScenarioError("segment ids must be 1..n_segs in order")
+        for s in self.segments:
+            if s.endpoint_a == s.endpoint_b:
+                raise ScenarioError(f"segment {s.id}: zero length")
+            if s.panel_id not in self._panel_by_id:
+                raise ScenarioError(f"segment {s.id}: unknown panel {s.panel_id}")
+            if s.side not in SIDES:
+                raise ScenarioError(f"segment {s.id}: unknown side {s.side!r}")
+        for pid, ids in self._panel_segment_ids.items():
+            if [self.segment(i).height_index for i in ids] != list(range(1, len(ids) + 1)):
+                raise ScenarioError(f"panel {pid}: height_index values must be contiguous 1..n")
+
+        left = self._left_arms
+        if not left or sum(a.side == "right" for a in self.arms) != len(left):
+            raise ScenarioError("arms must split evenly between left and right")
+        if len(self._arm_by_id) != len(self.arms):
+            raise ScenarioError("duplicate arm id")
+        for a in self.arms:
+            if a.radius <= 0:
+                raise ScenarioError(f"arm {a.id}: radius must be positive")
+            partner = self._arm_by_id.get(a.mirror_partner)
+            if partner is None or partner.side == a.side or partner.row != a.row:
+                raise ScenarioError(f"arm {a.id}: invalid mirror partner")
+            if partner.mirror_partner != a.id:
+                raise ScenarioError(f"arm {a.id}: mirror pairing is not an involution")
+        if self.line.velocity <= 0:
+            raise ScenarioError("line velocity must be positive")
+        cfg = self.config
+        for name in ("v_sp", "gamma_col", "t_p", "mu"):
+            if getattr(cfg, name) <= 0:
+                raise ScenarioError(f"{name} must be positive")
+        if cfg.v_mv * 0.999 <= self.line.velocity:
+            raise ScenarioError("transit speed must exceed line velocity")
+        if cfg.head_turn_wait < 0:
+            raise ScenarioError("head_turn_wait must not be negative")
+        if min(cfg.rho_out, cfg.rho_unvisits, cfg.rho_col) <= 0:
+            raise ScenarioError("penalty weights must be positive")
+        for name, least in (("t_max", 1), ("epsilon", 0), ("delta", 0), ("n_d", 0)):
+            value = getattr(cfg, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+        n_dim = self.n_segs + cfg.n_d
+        if n_dim % len(left):
+            raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {len(left)} arms")
+
     # ---- derived views -------------------------------------------------
     # Each cached_property is computed once per instance and stored in its
     # __dict__; dataclasses.replace builds a new instance, so a modified
@@ -223,79 +283,6 @@ class _World:
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-
-def validate_scene(scene: VehicleScene) -> VehicleScene:
-    """Raise ScenarioError on any inconsistency; returns the scene unchanged."""
-    seen = set()
-    panel_ids = {p.id for p in scene.panels}
-    if len(panel_ids) != len(scene.panels):
-        raise ScenarioError("duplicate panel id")
-    for p in scene.panels:
-        if p.kind not in PANEL_KINDS:
-            raise ScenarioError(f"panel {p.id}: unknown kind {p.kind!r}")
-        if p.expansion_rule not in EXPANSION_RULES:
-            raise ScenarioError(f"panel {p.id}: unknown expansion rule {p.expansion_rule!r}")
-        if p.kind == "vertical_side" and p.expansion_rule != "mirror":
-            raise ScenarioError(f"panel {p.id}: vertical_side panels must use the mirror rule")
-        if p.kind != "vertical_side" and p.expansion_rule == "mirror":
-            raise ScenarioError(f"panel {p.id}: {p.kind} panels must use parallel expansion")
-    for s in scene.segments:
-        if s.id in seen:
-            raise ScenarioError(f"duplicate segment id {s.id}")
-        seen.add(s.id)
-        if s.endpoint_a == s.endpoint_b:
-            raise ScenarioError(f"segment {s.id}: zero length")
-        if s.panel_id not in panel_ids:
-            raise ScenarioError(f"segment {s.id}: unknown panel {s.panel_id}")
-        if s.side not in SIDES:
-            raise ScenarioError(f"segment {s.id}: unknown side {s.side!r}")
-    if sorted(seen) != list(range(1, len(scene.segments) + 1)):
-        raise ScenarioError("segment ids must cover 1..n_segs")
-    for p in scene.panels:
-        heights = sorted(s.height_index for s in scene.segments if s.panel_id == p.id)
-        if heights and heights != list(range(1, len(heights) + 1)):
-            raise ScenarioError(f"panel {p.id}: height_index values must be contiguous 1..n")
-
-    left = [a for a in scene.arms if a.side == "left"]
-    right = [a for a in scene.arms if a.side == "right"]
-    if not left or len(left) != len(right):
-        raise ScenarioError("arms must split evenly between left and right")
-    by_id = {a.id: a for a in scene.arms}
-    if len(by_id) != len(scene.arms):
-        raise ScenarioError("duplicate arm id")
-    for a in scene.arms:
-        if a.radius <= 0:
-            raise ScenarioError(f"arm {a.id}: radius must be positive")
-        partner = by_id.get(a.mirror_partner)
-        if partner is None or partner.side == a.side or partner.row != a.row:
-            raise ScenarioError(f"arm {a.id}: invalid mirror partner")
-        if partner.mirror_partner != a.id:
-            raise ScenarioError(f"arm {a.id}: mirror pairing is not an involution")
-    if scene.line.velocity <= 0:
-        raise ScenarioError("line velocity must be positive")
-    cfg = scene.config
-    for name in ("v_sp", "gamma_col", "t_p", "mu"):
-        if getattr(cfg, name) <= 0:
-            raise ScenarioError(f"{name} must be positive")
-    if cfg.v_mv * 0.999 <= scene.line.velocity:
-        raise ScenarioError("transit speed must exceed line velocity")
-    if cfg.head_turn_wait < 0:
-        raise ScenarioError("head_turn_wait must not be negative")
-    if min(cfg.rho_out, cfg.rho_unvisits, cfg.rho_col) <= 0:
-        raise ScenarioError("penalty weights must be positive")
-    for name, least in (("t_max", 1), ("epsilon", 0), ("delta", 0), ("n_d", 0)):
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
-    n_dim = len(scene.segments) + cfg.n_d
-    if n_dim % len(left):
-        raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {len(left)} arms")
-    return scene
-
-
-# ---------------------------------------------------------------------------
 # scenario file i/o
 
 
@@ -395,7 +382,7 @@ def scene_from_dict(doc: dict) -> VehicleScene:
             reference_position=float(doc["line"].get("reference_position", 0.0)),
         )
         cfg = ScenarioConfig(**{k: v for k, v in doc.get("config", {}).items()})
-        scene = VehicleScene(
+        return VehicleScene(
             name=sc.get("name", ""),
             front_x=float(sc["front_x"]),
             panels=panels,
@@ -404,11 +391,8 @@ def scene_from_dict(doc: dict) -> VehicleScene:
             line=line,
             config=cfg,
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    return validate_scene(scene)
 
 
 def load_scene(path) -> VehicleScene:
@@ -542,7 +526,7 @@ def generate_synthetic_scene(
         reference_position=spec.reference_position,
     )
     cfg = config if config is not None else ScenarioConfig()
-    scene = VehicleScene(
+    return VehicleScene(
         name=spec.name,
         front_x=spec.body_length,
         panels=tuple(panels),
@@ -551,7 +535,6 @@ def generate_synthetic_scene(
         line=line,
         config=cfg,
     )
-    return validate_scene(scene)
 
 
 def default_dummy_count(n_segs: int, n_arms_side: int) -> int:

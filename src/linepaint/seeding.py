@@ -48,10 +48,7 @@ def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperS
     None when a block overflows its slot."""
     n_arms = scene.n_arms_side
     n_segs = scene.n_segs
-    n_dim = n_segs + scene.config.n_d
-    if n_dim % n_arms:
-        raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {n_arms} arms")
-    width = n_dim // n_arms
+    width = (n_segs + scene.config.n_d) // n_arms
     _, ref_count, stack = _reference_stack_size(scene)
     cuts = (0,) + bounds.heights + (stack,)
     if list(cuts) != sorted(set(cuts)):

@@ -114,6 +114,7 @@ def test_line_direction_other_than_x_exits_two(tmp_path, desk, direction, reject
         ("delta", -1),
         ("n_d", -3),
         ("n_d", 31),
+        ("v_sp", "fast"),
     ],
 )
 def test_invalid_config_value_exits_two(tmp_path, desk, key, value):
@@ -190,6 +191,24 @@ def test_audit_arms_format_and_inverted_order(tmp_path):
 def test_audit_unknown_segment_exits_two(tmp_path):
     path = tmp_path / "assignment.json"
     path.write_text(json.dumps({"format_version": 1, "arms": {"1": [999], "2": [], "3": []}}))
+    assert main(["audit", "--preset", "desk", "--assignment", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"genes": 5},
+        {"genes": None},
+        {"arms": {"1": 5, "2": 6, "3": 7}},
+        {"arms": [[1, 2]]},
+        {"arms": [5, 5, 5]},
+        [1, 2],
+        "genes",
+    ],
+)
+def test_audit_malformed_assignment_exits_two(tmp_path, doc):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(doc))
     assert main(["audit", "--preset", "desk", "--assignment", str(path)]) == 2
 
 

@@ -164,12 +164,3 @@ def test_explicit_config_computes_windows_once(small_desk, monkeypatch):
     run(small_desk, cfg, GaConfig(n_pop=10, n_gen=2))
     assert computed == [cfg]
 
-
-def test_seed_population_must_match_size(small_desk):
-    with pytest.raises(ValueError):
-        run(
-            small_desk,
-            small_desk.config,
-            _tiny(),
-            seed_population=[UpperSolution(tuple(range(1, 91)))] * 5,
-        )

@@ -50,8 +50,3 @@ def test_random_solution_is_permutation(seed, n_dim):
     assert validate(x) is None
     assert len(x.genes) == n_dim
 
-
-def test_slot_view():
-    x = UpperSolution((4, 2, 6, 1, 3, 5))
-    assert x.slot(0, 2) == (4, 2, 6)
-    assert x.slot(1, 2) == (1, 3, 5)

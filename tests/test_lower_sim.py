@@ -193,6 +193,17 @@ def test_entry_points_follow_explicit_config(desk, name):
     assert explicit != _call_entry_point(name, desk)
 
 
+@pytest.mark.parametrize(
+    "name", ["run", "PopulationEvaluator", "evaluate_assignment", "repair_all", "reach_windows"]
+)
+@pytest.mark.parametrize(
+    "key, value", [("v_sp", -1.0), ("mu", 0.0), ("t_max", 12000.5), ("n_d", 31)]
+)
+def test_entry_points_reject_invalid_explicit_config(desk, name, key, value):
+    with pytest.raises(ScenarioError):
+        _call_entry_point(name, desk, dataclasses.replace(desk.config, **{key: value}))
+
+
 def test_empty_assignment_waits_at_home():
     scene = toy_scene(n_segs=2)
     traj, metrics = simulate(((),), scene)
@@ -298,9 +309,5 @@ def test_horizon_exhaustion_is_not_a_crash(desk):
 
 
 def test_rejects_line_faster_than_transit():
-    scene = toy_scene(cfg=ScenarioConfig(v_mv=50.0, n_d=2))
-    try:
-        simulate(((1, 2),), scene)
-    except ScenarioError:
-        return
-    raise AssertionError("expected a configuration error")
+    with pytest.raises(ScenarioError):
+        toy_scene(cfg=ScenarioConfig(v_mv=50.0, n_d=2))

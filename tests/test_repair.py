@@ -23,7 +23,6 @@ from linepaint.scene import (
     VehicleScene,
     default_dummy_count,
     generate_synthetic_scene,
-    validate_scene,
 )
 
 
@@ -101,16 +100,14 @@ def _partition_scene():
         ArmConfig(3, (100.0, 600.0, 1500.0), 1500.0, 1, "right", 1),
         ArmConfig(4, (30100.0, 600.0, 1500.0), 1500.0, 2, "right", 2),
     )
-    return validate_scene(
-        VehicleScene(
-            name="partition",
-            front_x=0.0,
-            panels=(Panel(1, "vertical_side", "mirror"),),
-            segments=segs,
-            arms=arms,
-            line=LineKinematics(velocity=98.0),
-            config=ScenarioConfig(n_d=2, t_max=100, back_door_rule=False),
-        )
+    return VehicleScene(
+        name="partition",
+        front_x=0.0,
+        panels=(Panel(1, "vertical_side", "mirror"),),
+        segments=segs,
+        arms=arms,
+        line=LineKinematics(velocity=98.0),
+        config=ScenarioConfig(n_d=2, t_max=100, back_door_rule=False),
     )
 
 

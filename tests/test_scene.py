@@ -20,7 +20,7 @@ from linepaint.scene import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    validate_scene,
+    with_config,
     _World,
 )
 from linepaint.seeding import base_boundaries, solution_from_boundaries
@@ -43,7 +43,7 @@ def _minimal_scene(**overrides):
         config=ScenarioConfig(n_d=2),
     )
     kw.update(overrides)
-    return validate_scene(VehicleScene(**kw))
+    return VehicleScene(**kw)
 
 
 def test_world_translation_exact():
@@ -110,6 +110,18 @@ def test_validation_duplicate_segment_id():
     seg = PaintSegment(1, 1, (0.0, 400.0, -900.0), (900.0, 400.0, -900.0), 1)
     with pytest.raises(ScenarioError):
         _minimal_scene(segments=(seg, seg))
+
+
+def test_validation_segments_out_of_id_order():
+    # segment(i) indexes by position, so a reversed tuple would swap segments
+    segs = _minimal_scene().segments
+    with pytest.raises(ScenarioError):
+        _minimal_scene(segments=segs[::-1])
+
+
+def test_validation_runs_on_with_config():
+    with pytest.raises(ScenarioError):
+        with_config(_minimal_scene(), v_sp=0.0)
 
 
 def test_validation_zero_length_segment():
