@@ -46,14 +46,50 @@ class SimMetrics:
         return max(self.t_a.values(), default=0.0)
 
 
-@dataclass
 class Trajectory:
-    arm_ids: tuple[int, ...]
-    positions: np.ndarray  # (n_arms, n_ticks + 1, 3), world frame, mm
-    actions: np.ndarray  # (n_arms, n_ticks + 1) of action codes
-    seg_ids: np.ndarray  # (n_arms, n_ticks + 1), -1 when not painting
-    homes: np.ndarray  # (n_arms, 3)
-    mu: float
+    """Per-tick table of every arm's head: ``positions`` (n_arms, n_ticks + 1,
+    3) in the world frame, mm; ``actions`` (n_arms, n_ticks + 1) of action
+    codes; ``seg_ids`` (n_arms, n_ticks + 1), -1 when not painting; ``homes``
+    (n_arms, 3).
+
+    ``simulate`` returns one that keeps the plan's tapes and renders the table
+    with ``_render`` on first access, so scoring a plan never builds it."""
+
+    def __init__(self, arm_ids, positions, actions, seg_ids, homes, mu: float):
+        self.arm_ids: tuple[int, ...] = tuple(arm_ids)
+        self.mu = mu
+        self._plan = None
+        self._table = (positions, actions, seg_ids, homes)
+
+    @classmethod
+    def _of_plan(cls, tapes: list[_Tape], arm_ids, cfg: ScenarioConfig) -> Trajectory:
+        traj = cls(arm_ids, None, None, None, None, cfg.mu)
+        traj._plan = (tapes, cfg)
+        return traj
+
+    def _rendered(self) -> tuple:
+        if self._plan is not None:
+            tapes, cfg = self._plan
+            t = _render(tapes, self.arm_ids, cfg)
+            self._table = (t.positions, t.actions, t.seg_ids, t.homes)
+            self._plan = None
+        return self._table
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._rendered()[0]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self._rendered()[1]
+
+    @property
+    def seg_ids(self) -> np.ndarray:
+        return self._rendered()[2]
+
+    @property
+    def homes(self) -> np.ndarray:
+        return self._rendered()[3]
 
     def arm_index(self, arm_id: int) -> int:
         return self.arm_ids.index(arm_id)
@@ -96,7 +132,10 @@ class _Tape:
 
     def hold(self, n: int, action: int = WAIT) -> None:
         if n > 0:
-            self.append(action, -1, np.broadcast_to(self.pos, (n, 3)).copy())
+            # n read-only rows that all view self.pos (row stride 0): no copy
+            block = np.ndarray((n, 3), float, self.pos, 0, (0, self.pos.itemsize))
+            block.flags.writeable = False
+            self.append(action, -1, block)
 
 
 def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int:
@@ -341,33 +380,107 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
     assigned = {s for row in assign for s in row}
     missing = scene.n_segs - len(assigned & set(range(1, scene.n_segs + 1)))
 
-    tapes_l, tapes_r, ids_l, ids_r = [], [], [], []
+    tapes_l, tapes_r, arms_r = [], [], []
     for arm, seg_ids in zip(left_arms, assign):
         partner = scene.arm(arm.mirror_partner)
         tl, tr = _plan_pair(scene, arm, partner, seg_ids, metrics, world)
         tapes_l.append(tl)
-        ids_l.append(arm.id)
         tapes_r.append(tr)
-        ids_r.append(partner.id)
+        arms_r.append(partner)
 
     if missing:
         first = left_arms[0].id
         metrics.n_unvisits[first] = metrics.n_unvisits.get(first, 0) + missing
 
-    traj = _render(tapes_l + tapes_r, ids_l + ids_r, cfg)
-
-    for i, arm_id in enumerate(traj.arm_ids):
-        arm = scene.arm(arm_id)
-        mask = traj.actions[i] == PAINT
-        d2 = ((traj.positions[i] - np.asarray(arm.center)) ** 2).sum(axis=1)
-        metrics.t_out[arm_id] = float((d2[mask] > arm.radius**2).sum()) * cfg.mu
-    metrics.t_col = collision_time(traj, cfg.gamma_col)
+    tapes, arms = tapes_l + tapes_r, [*left_arms, *arms_r]
+    metrics.t_out, metrics.t_col = _block_metrics(tapes, arms, cfg)
     metrics.order_violations = order_violation_counts(metrics.paint_start_times, scene)
-    return traj, metrics
+    return Trajectory._of_plan(tapes, [a.id for a in arms], cfg), metrics
+
+
+def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
+    """Out-of-range time per arm id and collision time of the table
+    ``_render`` would build from the tapes (``arms``: their ArmConfigs),
+    read from the tapes' blocks: the same floats, tested with the same
+    formulas, on the ticks that bounding boxes cannot rule out.
+
+    Between consecutive block starts of all arms, every arm stays in one
+    block; its box there is taken over the floats the table holds.  Float
+    subtraction, squaring and a sum in the same order are monotone, so no
+    tick's squared distance to the sphere center exceeds that of its box's
+    farthest corner, and no two heads' squared distance is below that of
+    their boxes' gap."""
+    t_end = min(cfg.t_max, max(tape.t for tape in tapes))
+    path = np.empty((len(tapes), t_end + 1, 3))
+    layouts = []
+    for i, tape in enumerate(tapes):
+        pieces, firsts, actions = _laid_out(tape, t_end)
+        np.concatenate(pieces, out=path[i])
+        layouts.append((firsts, actions))
+    # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
+    starts = np.sort(np.concatenate([firsts for firsts, _ in layouts]))
+    starts = starts[np.diff(starts, prepend=-1) > 0]
+    lo = np.minimum.reduceat(path, starts, axis=1)
+    hi = np.maximum.reduceat(path, starts, axis=1)
+    bounds = np.append(starts, t_end + 1)
+
+    t_out = {}
+    for i, (arm, (firsts, actions)) in enumerate(zip(arms, layouts)):
+        center = np.asarray(arm.center)
+        r2 = arm.radius**2
+        k = np.flatnonzero(actions[np.searchsorted(firsts, starts, side="right") - 1] == PAINT)
+        far = np.maximum(np.abs(lo[i, k] - center), np.abs(hi[i, k] - center))
+        ticks = _interval_ticks(bounds, k[(far**2).sum(axis=1) > r2])
+        d = path[i, ticks]
+        d -= center
+        t_out[arm.id] = float(((d**2).sum(axis=1) > r2).sum()) * cfg.mu
+
+    g2 = cfg.gamma_col * cfg.gamma_col
+    colliding = np.zeros(t_end + 1, dtype=bool)
+    for i in range(len(tapes)):
+        for j in range(i + 1, len(tapes)):
+            gap = np.maximum(np.maximum(lo[i] - hi[j], lo[j] - hi[i]), 0.0)
+            ticks = _interval_ticks(bounds, np.flatnonzero((gap**2).sum(axis=1) < g2))
+            # in place: a second gathered copy raised the peak RSS
+            d = path[i, ticks]
+            d -= path[j, ticks]
+            colliding[ticks[(d**2).sum(axis=1) < g2]] = True
+    return t_out, float(colliding.sum()) * cfg.mu
+
+
+def _laid_out(tape: _Tape, t_end: int):
+    """The tape over ticks 0..t_end as ``_render`` lays it out: home at tick
+    0, the blocks cut at t_end, then the last position held.  Returns those
+    pieces, the tick each starts at and the action of each."""
+    pieces, firsts, actions = [tape.home[None]], [0], [WAIT]
+    t = 1
+    for action, _, block in tape.blocks:
+        if t > t_end:
+            break
+        block = block[: t_end + 1 - t]
+        pieces.append(block)
+        firsts.append(t)
+        actions.append(action)
+        t += len(block)
+    if t <= t_end:
+        pieces.append(np.broadcast_to(pieces[-1][-1], (t_end + 1 - t, 3)))
+        firsts.append(t)
+        actions.append(HOME)
+    return pieces, np.array(firsts), np.array(actions)
+
+
+def _interval_ticks(bounds: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The ticks of intervals ``[bounds[k], bounds[k + 1])``, one interval
+    after another."""
+    first = bounds[k]
+    length = bounds[k + 1] - first
+    return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - first, length)
 
 
 def collision_time(traj: Trajectory, gamma_col: float) -> float:
-    """Seconds during which some arm-head pair is closer than gamma_col."""
+    """Seconds during which some arm-head pair is closer than gamma_col,
+    scanned over every tick of the rendered table: the reference the tests
+    hold ``simulate``'s t_col to."""
     pos = traj.positions
     n = pos.shape[0]
     if n < 2:

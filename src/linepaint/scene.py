@@ -144,25 +144,26 @@ class VehicleScene:
         if len(self._arm_by_id) != len(self.arms):
             raise ScenarioError("duplicate arm id")
         for a in self.arms:
-            if a.radius <= 0:
-                raise ScenarioError(f"arm {a.id}: radius must be positive")
+            if not 0 < a.radius < math.inf:
+                raise ScenarioError(f"arm {a.id}: radius must be positive and finite")
             partner = self._arm_by_id.get(a.mirror_partner)
             if partner is None or partner.side == a.side or partner.row != a.row:
                 raise ScenarioError(f"arm {a.id}: invalid mirror partner")
             if partner.mirror_partner != a.id:
                 raise ScenarioError(f"arm {a.id}: mirror pairing is not an involution")
-        if self.line.velocity <= 0:
-            raise ScenarioError("line velocity must be positive")
+        # written as `not lo < x < inf` so that NaN fails too
+        if not 0 < self.line.velocity < math.inf:
+            raise ScenarioError("line velocity must be positive and finite")
         cfg = self.config
-        for name in ("v_sp", "gamma_col", "t_p", "mu"):
-            if getattr(cfg, name) <= 0:
-                raise ScenarioError(f"{name} must be positive")
-        if cfg.v_mv * 0.999 <= self.line.velocity:
-            raise ScenarioError("transit speed must exceed line velocity")
-        if cfg.head_turn_wait < 0:
-            raise ScenarioError("head_turn_wait must not be negative")
-        if min(cfg.rho_out, cfg.rho_unvisits, cfg.rho_col) <= 0:
-            raise ScenarioError("penalty weights must be positive")
+        for name in ("v_sp", "gamma_col", "t_p", "mu", "rho_out", "rho_unvisits", "rho_col"):
+            if not 0 < getattr(cfg, name) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite")
+        if not self.line.velocity < cfg.v_mv * 0.999 < math.inf:
+            raise ScenarioError("transit speed must be finite and exceed line velocity")
+        if not 0 <= cfg.head_turn_wait < math.inf:
+            raise ScenarioError("head_turn_wait must be finite and not negative")
+        if not isinstance(cfg.back_door_rule, bool):
+            raise ScenarioError(f"back_door_rule must be true or false, got {cfg.back_door_rule!r}")
         for name, least in (("t_max", 1), ("epsilon", 0), ("delta", 0), ("n_d", 0)):
             value = getattr(cfg, name)
             if not isinstance(value, numbers.Integral) or value < least:
@@ -261,9 +262,6 @@ class VehicleScene:
         return frozenset(key for key, win in self.windows.items() if win is None)
 
 
-_X = np.array([1.0, 0.0, 0.0])
-
-
 class _World:
     """Vehicle-frame to world-frame drift helper."""
 
@@ -272,7 +270,9 @@ class _World:
         self.off0 = scene.line.reference_position - scene.front_x
 
     def at(self, p, t) -> np.ndarray:
-        return np.asarray(p, dtype=float) + _X * (self.off0 + self.k * t)
+        s = self.off0 + self.k * t
+        z = 0.0 * s  # the signed zero that p + (1, 0, 0) * s adds to y and z
+        return np.array((p[0] + s, p[1] + z, p[2] + z))
 
     def track(self, p, t0: int, n: int) -> np.ndarray:
         """Positions on the moving point p for ticks t0+1 .. t0+n."""

@@ -48,6 +48,19 @@ def oracle_order_count(start_times: list) -> int:
 # trajectory-table audits
 
 
+def oracle_out_of_range(traj, arms) -> dict[int, float]:
+    """Per arm id: seconds spent painting outside the arm's sphere, scanned
+    over every tick of the table (``arms``: the ArmConfigs, any order)."""
+    by_id = {a.id: a for a in arms}
+    out = {}
+    for i, arm_id in enumerate(traj.arm_ids):
+        arm = by_id[arm_id]
+        mask = traj.actions[i] == PAINT
+        d2 = ((traj.positions[i] - np.asarray(arm.center)) ** 2).sum(axis=1)
+        out[arm_id] = float((d2[mask] > arm.radius**2).sum()) * traj.mu
+    return out
+
+
 def speed_bound_ok(traj, scene, cfg) -> bool:
     bound = max(cfg.v_sp, cfg.v_mv) * cfg.mu + scene.line.velocity * cfg.mu + 1e-9
     steps = np.linalg.norm(np.diff(traj.positions, axis=1), axis=2)

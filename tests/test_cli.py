@@ -115,6 +115,13 @@ def test_line_direction_other_than_x_exits_two(tmp_path, desk, direction, reject
         ("n_d", -3),
         ("n_d", 31),
         ("v_sp", "fast"),
+        ("gamma_col", float("nan")),
+        ("v_mv", float("nan")),
+        ("mu", float("nan")),
+        ("rho_col", float("nan")),
+        ("v_sp", float("inf")),
+        ("t_p", float("inf")),
+        ("back_door_rule", "no"),
     ],
 )
 def test_invalid_config_value_exits_two(tmp_path, desk, key, value):

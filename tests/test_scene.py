@@ -57,6 +57,18 @@ def test_world_translation_exact():
     assert a100[1] == a0[1] and a100[2] == a0[2]
 
 
+def test_world_at_adds_the_drift_bit_for_bit():
+    # the helper builds the point from floats; it must equal the vector sum
+    # p + (1, 0, 0) * drift, signed zeros included, on either side of x = 0
+    for ref in (-5000.0, 5000.0):
+        scene = _minimal_scene(line=LineKinematics(velocity=98.0, reference_position=ref))
+        world = _World(scene, 0.01)
+        for p in ((1.5, -0.0, 0.0), (-0.0, 0.0, -0.0), (123.25, -7.0, 1e-300)):
+            for t in (0, 7, 10**4):
+                drift = np.array([1.0, 0.0, 0.0]) * (world.off0 + world.k * t)
+                assert world.at(p, t).tobytes() == (np.asarray(p) + drift).tobytes()
+
+
 def test_world_helper_matches_planner_translation(desk):
     # every painted segment's last paint tick sits on one of its endpoints,
     # drifted to that tick
@@ -124,6 +136,27 @@ def test_validation_runs_on_with_config():
         with_config(_minimal_scene(), v_sp=0.0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("v_sp", math.inf),
+        ("v_mv", math.nan),
+        ("v_mv", math.inf),
+        ("gamma_col", math.nan),
+        ("t_p", math.inf),
+        ("mu", math.nan),
+        ("head_turn_wait", math.nan),
+        ("rho_col", math.nan),
+        ("rho_out", math.inf),
+        ("back_door_rule", "no"),
+        ("back_door_rule", 1),
+    ],
+)
+def test_validation_rejects_non_finite_or_non_bool_config(key, value):
+    with pytest.raises(ScenarioError):
+        with_config(_minimal_scene(), **{key: value})
+
+
 def test_validation_zero_length_segment():
     segs = (
         PaintSegment(1, 1, (0.0, 400.0, -900.0), (0.0, 400.0, -900.0), 1),
@@ -163,6 +196,18 @@ def test_validation_rejects_nonpositive_radius():
     )
     with pytest.raises(ScenarioError):
         _minimal_scene(arms=arms)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validation_rejects_non_finite_radius_and_line_velocity(value):
+    arms = (
+        ArmConfig(1, (500.0, 500.0, -1900.0), value, 1, "left", 2),
+        ArmConfig(2, (500.0, 500.0, 1900.0), value, 1, "right", 1),
+    )
+    with pytest.raises(ScenarioError):
+        _minimal_scene(arms=arms)
+    with pytest.raises(ScenarioError):
+        _minimal_scene(line=LineKinematics(velocity=value))
 
 
 def test_load_rejects_bad_version(tmp_path, desk):
