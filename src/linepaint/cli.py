@@ -24,7 +24,7 @@ import yaml
 
 from . import ga
 from .evaluation import evaluate_assignment
-from .genotype import UpperSolution, decode
+from .genotype import UpperSolution, decode, validate
 from .lower_sim import ACTION_NAMES, simulate
 from .presets import PRESET_NAMES, preset_scene
 from .render import save_svg
@@ -204,7 +204,10 @@ def cmd_audit(args) -> int:
             )
         if "genes" in doc:
             sol = UpperSolution(tuple(int(g) for g in doc["genes"]))
-            assign = decode(sol, scene)
+            assign = decode(sol, scene)  # ValueError unless there are n_dim genes
+            problem = validate(sol)
+            if problem:
+                raise ScenarioError(f"genes are not a permutation of 1..{scene.n_dim}: {problem}")
         elif "arms" in doc:
             rows = sorted(doc["arms"], key=int)
             if len(rows) != scene.n_arms_side:
@@ -214,7 +217,7 @@ def cmd_audit(args) -> int:
             assign = tuple(tuple(int(s) for s in doc["arms"][r]) for r in rows)
         else:
             raise ScenarioError("assignment file needs a 'genes' or 'arms' field")
-    except (AttributeError, IndexError, TypeError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed assignment document: {exc}") from exc
     known = set(range(1, scene.n_segs + 1))
     flat = [s for row in assign for s in row]

@@ -177,7 +177,6 @@ def run(
     scene = _scene_under(scene, cfg)
     ga_cfg = ga_cfg or GaConfig()
     rng = np.random.default_rng(ga_cfg.seed)
-    n_dim = scene.n_segs + scene.config.n_d
 
     if ga_cfg.use_seeding:
         pop = build_seed_population(scene, ga_cfg.n_pop, rng)
@@ -200,7 +199,7 @@ def run(
                 p1 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
                 p2 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
                 if rng.random() < ga_cfg.crossover_rate:
-                    cuts = sorted(int(v) for v in rng.integers(1, n_dim + 1, size=2))
+                    cuts = sorted(int(v) for v in rng.integers(1, scene.n_dim + 1, size=2))
                     c1, c2 = order_crossover(p1, p2, cuts[0], cuts[1])
                 else:
                     c1, c2 = p1, p2

@@ -3,7 +3,9 @@
 A genotype is a permutation of segment ids 1..n_segs plus dummy ids
 n_segs+1..n_dim, split into equal-length contiguous slots, one per one-side
 arm (slot 1 belongs to the frontmost arm).  Painting-exactly-once holds by
-construction; decoding strips the dummies.
+construction; decoding strips the dummies.  The scene gives the layout's
+sizes (``VehicleScene.n_dim`` and ``slot_width``); this module alone maps
+between genotypes and arm assignments.
 """
 
 from __future__ import annotations
@@ -23,16 +25,30 @@ ArmAssignment = tuple[tuple[int, ...], ...]
 
 
 def decode(x: UpperSolution, scene: VehicleScene) -> ArmAssignment:
-    n_slots = scene.n_arms_side
+    """Each arm's slot without its dummies; ValueError unless n_dim genes."""
+    if len(x.genes) != scene.n_dim:
+        raise ValueError(f"genotype has {len(x.genes)} genes, the scene needs {scene.n_dim}")
+    width = scene.slot_width
     n_segs = scene.n_segs
-    if len(x.genes) % n_slots:
-        raise ValueError(f"n_dim {len(x.genes)} not divisible by {n_slots} slots")
-    width = len(x.genes) // n_slots
-    out = []
-    for a in range(n_slots):
-        slot = x.genes[a * width : (a + 1) * width]
-        out.append(tuple(g for g in slot if g <= n_segs))
-    return tuple(out)
+    return tuple(
+        tuple(g for g in x.genes[a * width : (a + 1) * width] if g <= n_segs)
+        for a in range(scene.n_arms_side)
+    )
+
+
+def encode(assign: ArmAssignment, scene: VehicleScene) -> UpperSolution | None:
+    """The genotype whose slots hold each arm's list (the lists together
+    holding every segment once) padded with the next unused dummy ids; None
+    when a list overflows its slot."""
+    width = scene.slot_width
+    if any(len(row) > width for row in assign):
+        return None
+    genes, dummy = [], scene.n_segs + 1
+    for row in assign:
+        pad = width - len(row)
+        genes += [*row, *range(dummy, dummy + pad)]
+        dummy += pad
+    return UpperSolution(tuple(genes))
 
 
 def validate(x: UpperSolution) -> str | None:

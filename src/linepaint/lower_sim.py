@@ -169,11 +169,9 @@ def _move_block(tape: _Tape, target_vehicle, world: _World, step: float) -> None
 def _paint_block(tape: _Tape, seg_id, p_start, p_end, world: _World, cfg) -> None:
     length = float(np.linalg.norm(np.asarray(p_end) - np.asarray(p_start)))
     n = max(1, math.ceil(length / (cfg.v_sp * cfg.mu) - 1e-9))
-    t0 = tape.t
     u = (np.arange(1, n + 1, dtype=float) / n)[:, None]
     pts = np.asarray(p_start, dtype=float) + (np.asarray(p_end) - np.asarray(p_start)) * u
-    ts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
-    pts[:, 0] += world.off0 + world.k * ts
+    pts[:, 0] += world.offset(np.arange(tape.t + 1, tape.t + n + 1, dtype=float))
     tape.append(PAINT, seg_id, pts)
 
 

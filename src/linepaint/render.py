@@ -85,7 +85,7 @@ def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
     # positions with the line drift removed
     world = _World(scene, traj.mu)
     pts = traj.positions.copy()
-    pts[:, :, 0] -= world.off0 + world.k * np.arange(pts.shape[1], dtype=float)
+    pts[:, :, 0] -= world.offset(np.arange(pts.shape[1], dtype=float))
     keep = np.zeros(pts.shape[1], dtype=bool)
     keep[::SUBSAMPLE] = True
     keep[-1] = True

@@ -10,7 +10,8 @@ All four operators are permutation- and slot-preserving value transforms:
                    when that strictly reduces arms-per-panel
 4. back_door     - move back-door segments out of the last arm's slot
 
-Application order in the GA loop: 1, 4, 2, 3.
+Application order in the GA loop: 1, 4, 2, 3.  Gene position p belongs to
+the one-side arm ``scene.left_arms()[p // scene.slot_width]``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from __future__ import annotations
 from .genotype import UpperSolution
 from .lower_sim import never_reachable
 from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS, _scene_under
-
-
-def _slots(n_dim: int, n_arms: int):
-    width = n_dim // n_arms
-    return [range(a * width, (a + 1) * width) for a in range(n_arms)]
-
-
-def _arm_of(pos: int, n_dim: int, n_arms: int) -> int:
-    return pos // (n_dim // n_arms)
 
 
 def repair_reachability(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
@@ -37,23 +29,19 @@ def repair_reachability(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     if not bad:
         return x
     genes = list(x.genes)
-    n_dim = len(genes)
-    n_arms = scene.n_arms_side
     arms = scene.left_arms()
     n_segs = scene.n_segs
 
     def unreachable(pos: int, gene: int) -> bool:
         if gene > n_segs:  # dummy
             return False
-        return (arms[_arm_of(pos, n_dim, n_arms)].id, gene) in bad
+        return (arms[pos // scene.slot_width].id, gene) in bad
 
-    for pos in range(n_dim):
+    for pos in range(scene.n_dim):
         if not unreachable(pos, genes[pos]):
             continue
-        for alt in range(n_dim):
-            if alt == pos:
-                continue
-            if unreachable(pos, genes[alt]) or unreachable(alt, genes[pos]):
+        for alt in range(scene.n_dim):
+            if alt == pos or unreachable(pos, genes[alt]) or unreachable(alt, genes[pos]):
                 continue
             if unreachable(alt, genes[alt]):
                 continue  # that position needs its own repair pass
@@ -65,8 +53,6 @@ def repair_reachability(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
 def repair_bottom_up(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     """Repair operator 2 (bottom-to-top / front-arm-first)."""
     genes = list(x.genes)
-    n_dim = len(genes)
-    n_arms = scene.n_arms_side
     for panel in scene.panels:
         if panel.kind not in VERTICAL_KINDS:
             continue
@@ -75,10 +61,10 @@ def repair_bottom_up(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
             continue
         members = set(ordered)
         # gene positions of this panel's segments, grouped by arm slot
-        per_arm: list[list[int]] = [[] for _ in range(n_arms)]
+        per_arm: list[list[int]] = [[] for _ in range(scene.n_arms_side)]
         for pos, g in enumerate(genes):
             if g in members:
-                per_arm[_arm_of(pos, n_dim, n_arms)].append(pos)
+                per_arm[pos // scene.slot_width].append(pos)
         i = 0
         for positions in per_arm:  # frontmost arm gets the lowest block
             block = ordered[i : i + len(positions)]
@@ -90,15 +76,12 @@ def repair_bottom_up(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
 
 def _panel_incidence(genes, scene: VehicleScene) -> dict[tuple[int, int], list[int]]:
     """Gene positions per (arm slot, panel) pair that has any."""
-    n_dim = len(genes)
-    n_arms = scene.n_arms_side
     n_segs = scene.n_segs
     positions: dict[tuple[int, int], list[int]] = {}
     for pos, g in enumerate(genes):
-        if g > n_segs:
-            continue
-        key = (_arm_of(pos, n_dim, n_arms), scene.segment(g).panel_id)
-        positions.setdefault(key, []).append(pos)
+        if g <= n_segs:
+            key = (pos // scene.slot_width, scene.segment(g).panel_id)
+            positions.setdefault(key, []).append(pos)
     return positions
 
 
@@ -113,25 +96,19 @@ def repair_few_arms(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     rounds."""
     bad = never_reachable(scene)
     genes = list(x.genes)
-    n_arms = scene.n_arms_side
     arms = scene.left_arms()
-    panel_ids = sorted(p.id for p in scene.panels)
     while True:
         positions = _panel_incidence(genes, scene)
         # smallest improving swap first (then lexicographic panel/arm order)
         candidates = sorted(
-            (len(positions[(a1, b1)]), b1, b2, a1, a2)
-            for b1 in panel_ids
-            for b2 in panel_ids
-            for a1 in range(n_arms)
-            for a2 in range(n_arms)
+            (len(p1), b1, b2, a1, a2)
+            for (a1, b1), p1 in positions.items()
+            for (a2, b2), p2 in positions.items()
             if b1 != b2
             and a1 != a2
-            and positions.get((a1, b1))
-            and positions.get((a2, b2))
-            and len(positions[(a1, b1)]) == len(positions[(a2, b2)])
-            and positions.get((a1, b2))
-            and positions.get((a2, b1))  # both arms must touch both panels
+            and len(p1) == len(p2)
+            and (a1, b2) in positions
+            and (a2, b1) in positions  # both arms must touch both panels
         )
         for _, b1, b2, a1, a2 in candidates:
             p1 = positions[(a1, b1)]
@@ -155,25 +132,20 @@ def repair_back_door(x: UpperSolution, scene: VehicleScene) -> UpperSolution:
     if not back:
         return x
     genes = list(x.genes)
-    n_dim = len(genes)
-    n_arms = scene.n_arms_side
     n_segs = scene.n_segs
     arms = scene.left_arms()
     bad = never_reachable(scene)
-    last_slot = _slots(n_dim, n_arms)[-1]
+    last_from = scene.n_dim - scene.slot_width  # the rearmost arm's slot starts here
     last_id = arms[-1].id
-    for pos in last_slot:
+    for pos in range(last_from, scene.n_dim):
         g = genes[pos]
         if g not in back:
             continue
-        for alt in range(n_dim):
-            if alt in last_slot:
-                continue
+        for alt in range(last_from):
             h = genes[alt]
             if h > n_segs or h in back:
                 continue
-            other_id = arms[_arm_of(alt, n_dim, n_arms)].id
-            if (other_id, g) in bad or (last_id, h) in bad:
+            if (arms[alt // scene.slot_width].id, g) in bad or (last_id, h) in bad:
                 continue
             genes[pos], genes[alt] = genes[alt], genes[pos]
             break

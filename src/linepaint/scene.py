@@ -113,6 +113,17 @@ class VehicleScene:
 
     def __post_init__(self):
         """Raise ScenarioError on any inconsistency, however the scene was built."""
+        # written as `not lo < x < inf` here and below so that NaN fails too
+        for what, values in (
+            ("front_x", (self.front_x,)),
+            ("line reference_position", (self.line.reference_position,)),
+            *((f"panel {p.id}: parallel_offset", (p.parallel_offset,)) for p in self.panels),
+            *((f"panel {p.id}: delay", (p.delay,)) for p in self.panels),
+            *((f"segment {s.id}: endpoints", s.endpoint_a + s.endpoint_b) for s in self.segments),
+            *((f"arm {a.id}: center", a.center) for a in self.arms),
+        ):
+            if not all(-math.inf < v < math.inf for v in values):
+                raise ScenarioError(f"{what} must be finite")
         if len(self._panel_by_id) != len(self.panels):
             raise ScenarioError("duplicate panel id")
         for p in self.panels:
@@ -151,7 +162,6 @@ class VehicleScene:
                 raise ScenarioError(f"arm {a.id}: invalid mirror partner")
             if partner.mirror_partner != a.id:
                 raise ScenarioError(f"arm {a.id}: mirror pairing is not an involution")
-        # written as `not lo < x < inf` so that NaN fails too
         if not 0 < self.line.velocity < math.inf:
             raise ScenarioError("line velocity must be positive and finite")
         cfg = self.config
@@ -168,9 +178,8 @@ class VehicleScene:
             value = getattr(cfg, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
-        n_dim = self.n_segs + cfg.n_d
-        if n_dim % len(left):
-            raise ScenarioError(f"n_segs + n_d = {n_dim} not divisible by {len(left)} arms")
+        if self.n_dim % len(left):
+            raise ScenarioError(f"n_segs + n_d = {self.n_dim} not divisible by {len(left)} arms")
 
     # ---- derived views -------------------------------------------------
     # Each cached_property is computed once per instance and stored in its
@@ -201,6 +210,17 @@ class VehicleScene:
     @property
     def n_arms_side(self) -> int:
         return len(self._left_arms)
+
+    # the genotype's layout (see genotype.py): n_dim genes, one slot of
+    # slot_width per one-side arm; cached, as repair reads them per gene
+
+    @cached_property
+    def n_dim(self) -> int:
+        return self.n_segs + self.config.n_d
+
+    @cached_property
+    def slot_width(self) -> int:
+        return self.n_dim // self.n_arms_side
 
     @cached_property
     def _panel_by_id(self) -> dict[int, Panel]:
@@ -269,8 +289,12 @@ class _World:
         self.k = scene.line.velocity * mu  # drift per tick, mm
         self.off0 = scene.line.reference_position - scene.front_x
 
+    def offset(self, t):
+        """The x shift at tick t (a number or an array of ticks)."""
+        return self.off0 + self.k * t
+
     def at(self, p, t) -> np.ndarray:
-        s = self.off0 + self.k * t
+        s = self.offset(t)
         z = 0.0 * s  # the signed zero that p + (1, 0, 0) * s adds to y and z
         return np.array((p[0] + s, p[1] + z, p[2] + z))
 
@@ -278,7 +302,7 @@ class _World:
         """Positions on the moving point p for ticks t0+1 .. t0+n."""
         ts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
         out = np.tile(np.asarray(p, dtype=float), (n, 1))
-        out[:, 0] += self.off0 + self.k * ts
+        out[:, 0] += self.offset(ts)
         return out
 
 

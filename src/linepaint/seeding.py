@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .genotype import UpperSolution, random_solution
+from .genotype import UpperSolution, encode, random_solution
 from .scene import ScenarioError, VehicleScene
 
 
@@ -47,8 +47,6 @@ def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperS
     """Build the genotype whose per-panel blocks follow the boundary heights;
     None when a block overflows its slot."""
     n_arms = scene.n_arms_side
-    n_segs = scene.n_segs
-    width = (n_segs + scene.config.n_d) // n_arms
     _, ref_count, stack = _reference_stack_size(scene)
     cuts = (0,) + bounds.heights + (stack,)
     if list(cuts) != sorted(set(cuts)):
@@ -70,17 +68,7 @@ def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperS
             lo = min(cuts[a], top)  # short panels: clamp to nearest valid cut
             hi = min(cuts[a + 1], top)
             per_arm[a].extend(sid for sid, lv in zip(ids, level) if lo < lv <= hi)
-
-    if any(len(block) > width for block in per_arm):
-        return None
-    genes: list[int] = []
-    dummy = n_segs + 1
-    for block in per_arm:
-        genes.extend(block)
-        for _ in range(width - len(block)):
-            genes.append(dummy)
-            dummy += 1
-    return UpperSolution(tuple(genes))
+    return encode(per_arm, scene)
 
 
 def enumerate_boundary_sets(scene: VehicleScene, limit: int):
@@ -114,7 +102,6 @@ def enumerate_boundary_sets(scene: VehicleScene, limit: int):
 def build_seed_population(scene: VehicleScene, n_pop: int, rng) -> list[UpperSolution]:
     """Boundary-aligned seeds (equal split first) topped up with random
     permutations to n_pop individuals."""
-    n_dim = scene.n_segs + scene.config.n_d
     pop: list[UpperSolution] = []
     for bounds in enumerate_boundary_sets(scene, n_pop - 1):
         sol = solution_from_boundaries(bounds, scene)
@@ -123,10 +110,9 @@ def build_seed_population(scene: VehicleScene, n_pop: int, rng) -> list[UpperSol
         if len(pop) >= n_pop - 1:
             break
     while len(pop) < n_pop:
-        pop.append(random_solution(n_dim, rng))
+        pop.append(random_solution(scene.n_dim, rng))
     return pop
 
 
 def random_population(scene: VehicleScene, n_pop: int, rng):
-    n_dim = scene.n_segs + scene.config.n_d
-    return [random_solution(n_dim, rng) for _ in range(n_pop)]
+    return [random_solution(scene.n_dim, rng) for _ in range(n_pop)]

@@ -211,12 +211,41 @@ def test_audit_unknown_segment_exits_two(tmp_path):
         {"arms": [5, 5, 5]},
         [1, 2],
         "genes",
+        # desk has 90 genes: three too many, three too few, an unknown id
+        {"genes": list(range(1, 94))},
+        {"genes": list(range(4, 91))},
+        {"genes": [1000, *range(2, 91)]},
     ],
 )
 def test_audit_malformed_assignment_exits_two(tmp_path, doc):
     path = tmp_path / "assignment.json"
     path.write_text(json.dumps(doc))
     assert main(["audit", "--preset", "desk", "--assignment", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("scene", "segments", 0, "a", 0), float("nan")),
+        (("scene", "segments", 0, "b", 1), float("inf")),
+        (("arms", 0, "center", 2), float("nan")),
+        (("scene", "front_x"), float("inf")),
+        (("line", "reference_position"), float("nan")),
+        (("scene", "panels", 0, "parallel_offset"), float("nan")),
+        (("scene", "panels", 0, "delay"), float("-inf")),
+    ],
+)
+def test_non_finite_geometry_exits_two(tmp_path, desk, keys, value):
+    doc = scene_to_dict(desk)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    scenario = tmp_path / "scene.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps({"genes": list(range(1, desk.n_dim + 1))}))
+    assert main(["audit", "--scenario", str(scenario), "--assignment", str(assignment)]) == 2
 
 
 def test_audit_duplicate_segment_exits_two(tmp_path):

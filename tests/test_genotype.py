@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepaint.genotype import UpperSolution, decode, random_solution, validate
+from linepaint.genotype import UpperSolution, decode, encode, random_solution, validate
+from linepaint.presets import preset_scene
+from linepaint.seeding import enumerate_boundary_sets, solution_from_boundaries
 
 
 def test_decode_strips_dummies(desk):
@@ -25,6 +28,36 @@ def test_decode_preserves_slot_order(desk):
     for a, row in enumerate(assign):
         slot = x.genes[a * width : (a + 1) * width]
         assert list(row) == [g for g in slot if g <= desk.n_segs]
+
+
+# v3 is left out: every one of its boundary sets overflows a slot
+@pytest.mark.parametrize("preset", ["desk", "v1", "v2"])
+def test_encode_inverts_decode_on_seeded_assignments(preset):
+    scene = preset_scene(preset, seed=1)
+    checked = 0
+    for bounds in enumerate_boundary_sets(scene, 20):
+        x = solution_from_boundaries(bounds, scene)
+        if x is None:
+            continue
+        assign = decode(x, scene)
+        assert encode(assign, scene) == x
+        assert decode(encode(assign, scene), scene) == assign
+        checked += 1
+    assert checked > 0
+
+
+def test_encode_returns_none_on_overflow(desk):
+    # desk: 60 segments, slots of 30 genes
+    assert encode((tuple(range(1, 61)), (), ()), desk) is None
+    full = encode((tuple(range(1, 31)), tuple(range(31, 61)), ()), desk)
+    assert validate(full) is None and len(full.genes) == desk.n_dim
+
+
+def test_decode_rejects_wrong_length(desk):
+    with pytest.raises(ValueError):
+        decode(UpperSolution(tuple(range(1, desk.n_dim))), desk)
+    with pytest.raises(ValueError):
+        decode(UpperSolution(tuple(range(1, desk.n_dim + 2))), desk)
 
 
 def test_validate_accepts_permutation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,35 @@ def test_validation_rejects_non_finite_radius_and_line_velocity(value):
         _minimal_scene(arms=arms)
     with pytest.raises(ScenarioError):
         _minimal_scene(line=LineKinematics(velocity=value))
+
+
+def _first_replaced(items, **changes):
+    return (replace(items[0], **changes), *items[1:])
+
+
+# per geometry field, named as its message names it: a scene with that field set to v
+NON_FINITE_GEOMETRY = {
+    "endpoints": lambda s, v: replace(
+        s, segments=_first_replaced(s.segments, endpoint_b=(0.0, v, -900.0))
+    ),
+    "center": lambda s, v: replace(s, arms=_first_replaced(s.arms, center=(v, 1000.0, -1900.0))),
+    "front_x": lambda s, v: replace(s, front_x=v),
+    "reference_position": lambda s, v: replace(s, line=replace(s.line, reference_position=v)),
+    "parallel_offset": lambda s, v: replace(s, panels=_first_replaced(s.panels, parallel_offset=v)),
+    "delay": lambda s, v: replace(s, panels=_first_replaced(s.panels, delay=v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_GEOMETRY))
+def test_validation_rejects_non_finite_geometry(desk, field, value):
+    with pytest.raises(ScenarioError, match=field):
+        NON_FINITE_GEOMETRY[field](desk, value)
+
+
+def test_layout_sizes(desk):
+    assert (desk.n_dim, desk.slot_width) == (90, 30)  # 60 segments + 30 dummies, 3 arms
+    assert with_config(desk, n_d=33).slot_width == 31
 
 
 def test_load_rejects_bad_version(tmp_path, desk):
