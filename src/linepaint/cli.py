@@ -97,19 +97,16 @@ def _write_trajectory_csv(path, traj):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["arm", "tick", "x_mm", "y_mm", "z_mm", "action", "segment"])
+        n_ticks = traj.positions.shape[1]
         for i, arm_id in enumerate(traj.arm_ids):
-            for t in range(traj.positions.shape[1]):
-                x, y, z = traj.positions[i, t]
-                w.writerow(
-                    [
-                        arm_id,
-                        t,
-                        f"{x:.3f}",
-                        f"{y:.3f}",
-                        f"{z:.3f}",
-                        ACTION_NAMES[traj.actions[i, t]],
-                        int(traj.seg_ids[i, t]),
-                    ]
+            # 1024 ticks at a time: a whole arm's rows as lists take megabytes
+            for t0 in range(0, n_ticks, 1024):
+                ticks = slice(t0, t0 + 1024)
+                positions, actions = traj.positions[i, ticks].tolist(), traj.actions[i, ticks]
+                rows = zip(positions, actions.tolist(), traj.seg_ids[i, ticks].tolist())
+                w.writerows(
+                    [arm_id, t, f"{x:.3f}", f"{y:.3f}", f"{z:.3f}", ACTION_NAMES[action], seg]
+                    for t, ((x, y, z), action, seg) in enumerate(rows, t0)
                 )
 
 
@@ -168,7 +165,7 @@ def cmd_solve(args) -> int:
         from .seeding import build_seed_population
         import numpy as np
 
-        seeds = build_seed_population(scene, ga_cfg.n_pop, np.random.default_rng(ga_cfg.seed))
+        seeds, _ = build_seed_population(scene, ga_cfg.n_pop, np.random.default_rng(ga_cfg.seed))
         (out / "seeds.json").write_text(
             json.dumps({"format_version": 1, "seeds": [list(s.genes) for s in seeds]})
         )
@@ -179,6 +176,7 @@ def cmd_solve(args) -> int:
         f"{scene.n_arms_side} arms/side)\n"
         f"ga: pop={ga_cfg.n_pop} gens={ga_cfg.n_gen} seed={ga_cfg.seed} "
         f"workers={ga_cfg.workers}\n"
+        f"boundary_seeds: {result.n_boundary_seeds}\n"
         f"elapsed_s: {elapsed:.2f}\n"
         f"objective: {report.objective:.6f}\n"
         f"strong_feasible: {report.strong_feasible}\n"
@@ -189,6 +187,8 @@ def cmd_solve(args) -> int:
         f"{'feasible' if report.strong_feasible else 'INFEASIBLE'}; "
         f"outputs in {out}"
     )
+    if ga_cfg.use_seeding and not result.n_boundary_seeds:
+        print("note: no boundary set fits the arms' slots; the initial population is all random")
     for note in report.weak_notes:
         print(f"note: {note}")
     return 0 if report.strong_feasible else 1

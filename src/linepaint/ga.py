@@ -69,6 +69,7 @@ class GaResult:
     best: UpperSolution
     report: EvaluationReport
     trace: RunTrace
+    n_boundary_seeds: int = 0  # boundary-aligned members of the initial population
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +180,9 @@ def run(
     rng = np.random.default_rng(ga_cfg.seed)
 
     if ga_cfg.use_seeding:
-        pop = build_seed_population(scene, ga_cfg.n_pop, rng)
+        pop, n_boundary = build_seed_population(scene, ga_cfg.n_pop, rng)
     else:
-        pop = random_population(scene, ga_cfg.n_pop, rng)
+        pop, n_boundary = random_population(scene, ga_cfg.n_pop, rng), 0
 
     evaluator = PopulationEvaluator(scene, workers=ga_cfg.workers)
     trace = RunTrace()
@@ -221,7 +222,7 @@ def run(
             _record(trace, g, pop, reports)
     finally:
         evaluator.close()
-    return GaResult(best=best, report=best_report, trace=trace)
+    return GaResult(best=best, report=best_report, trace=trace, n_boundary_seeds=n_boundary)
 
 
 def _record(trace: RunTrace, g: int, pop, reports) -> None:

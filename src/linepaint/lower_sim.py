@@ -1,6 +1,6 @@
 """Greedy lower-layer planner.
 
-Expands an arm assignment into per-tick head trajectories.  Each one-side arm
+Expands an arm assignment into a plan for every arm head.  Each one-side arm
 walks its segment list in order: wait until the whole segment is inside the
 operating sphere (the vehicle drifts, so in-range is a time window), move to
 the nearer endpoint, sweep the segment at the paint speed, and finally return
@@ -13,12 +13,20 @@ Painting tracks the moving segment: the head interpolates linearly between
 the drifting world-frame endpoints, so the sweep speed is the paint speed
 relative to the body surface.  Transit moves are bounded by the transit speed
 in world coordinates.
+
+A plan is a tape of phase blocks per arm, each affine in its tick index and
+kept as its parameters, never as per-tick rows: ``simulate`` scores
+out-of-range and collision time from them, and the per-tick table
+(``Trajectory``) is rendered from them only when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +35,6 @@ from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS, _World, _scene_
 
 WAIT, MOVE, PAINT, REORIENT, HOME = 0, 1, 2, 3, 4
 ACTION_NAMES = ("wait", "move", "paint", "reorient", "home")
-
-_MIRROR_Z = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass
@@ -112,30 +118,98 @@ def never_reachable(scene: VehicleScene):
 
 # ---------------------------------------------------------------------------
 # tape: per-arm phase recorder
+#
+# Block rows, i = 1..n:  p0 + d * (i / n), then x += off + k * (t0 + i),
+# z *= mz, and += add.  x + -0.0 == x and x * 1.0 == x for every float, so
+# holds (d = -0), blocks that do not drift (off = k = -0) and blocks the
+# partner does not replay (mz = 1, add = -0) need no case of their own.
+
+_NEG0 = (-0.0, -0.0, -0.0)
+_MIRROR_Z = (1.0, 1.0, -1.0)
+_NO_DRIFT = (-0.0, -0.0, 0.0)  # off, k, t0
+_NO_POST = (1.0, *_NEG0)  # mz, add
+_N_PARAMS = 14
 
 
 class _Tape:
-    __slots__ = ("home", "blocks", "t", "pos")
+    """One arm's blocks: action, segment id and 14 parameters each; ``t``
+    ticks so far and ``pos``, the last row, as ``_rows`` gives it."""
+
+    __slots__ = ("home", "actions", "seg_ids", "params", "t", "pos")
 
     def __init__(self, home):
         self.home = np.asarray(home, dtype=float)
-        self.blocks: list[tuple[int, int, np.ndarray]] = []
+        self.actions = array("b")
+        self.seg_ids = array("i")
+        self.params = array("d")
         self.t = 0
         self.pos = self.home.copy()
 
-    def append(self, action: int, seg: int, pos: np.ndarray) -> None:
-        if len(pos) == 0:
-            return
-        self.blocks.append((action, seg, pos))
-        self.t += len(pos)
-        self.pos = pos[-1]
+    def _push(self, action, seg, n, p0, d, drift, last) -> None:
+        self.actions.append(action)
+        self.seg_ids.append(seg)
+        self.params.extend((*p0, *d, n, *drift, *_NO_POST))
+        self.t += n
+        self.pos = last
 
     def hold(self, n: int, action: int = WAIT) -> None:
         if n > 0:
-            # n read-only rows that all view self.pos (row stride 0): no copy
-            block = np.ndarray((n, 3), float, self.pos, 0, (0, self.pos.itemsize))
-            block.flags.writeable = False
-            self.append(action, -1, block)
+            self._push(action, -1, n, self.pos.tolist(), _NEG0, _NO_DRIFT, self.pos)
+
+    def move(self, n: int, d: np.ndarray) -> None:
+        """n ticks from ``pos`` along d."""
+        self._push(MOVE, -1, n, self.pos.tolist(), d.tolist(), _NO_DRIFT, self.pos + d)
+
+    def drifting(self, action, seg, n, p0: np.ndarray, d, world: _World) -> None:
+        """n ticks from p0 along d (None: at p0) on the drifting body."""
+        last = p0.copy() if d is None else p0 + d
+        last[0] += world.offset(self.t + n)
+        d = _NEG0 if d is None else d.tolist()
+        self._push(action, seg, n, p0.tolist(), d, (world.off0, world.k, self.t), last)
+
+    def replay(self, src: _Tape, first: int, shift=None) -> None:
+        """src's blocks from index ``first`` on, z-mirrored (shift None) or
+        shifted."""
+        if first == len(src.actions):
+            return
+        tail = src.params[_N_PARAMS * first :]
+        post = array("d", (-1.0, *_NEG0) if shift is None else (1.0, *shift))
+        for j in range(0, len(tail), _N_PARAMS):
+            self.params += tail[j : j + 10]
+            self.params += post
+        self.actions += src.actions[first:]
+        self.seg_ids += src.seg_ids[first:]
+        self.t += int(sum(tail[6::_N_PARAMS]))
+        self.pos = src.pos * _MIRROR_Z if shift is None else src.pos + shift
+
+
+class _Pieces(NamedTuple):
+    bounds: np.ndarray  # the tick each piece starts at, then t_end + 1
+    actions: np.ndarray
+    seg_ids: np.ndarray
+    par: np.ndarray  # (14, pieces)
+    steps: tuple[bool, bool, bool]  # some piece drifts, is mirrored, is shifted
+
+
+def _rows(par: np.ndarray, steps, i: np.ndarray, expand, out=None) -> np.ndarray:
+    """Rows (r, 3) at local ticks ``i`` of pieces ``par`` (14, pieces);
+    ``expand`` maps a parameter row to its r values (a repeat or a gather).
+
+    The table and the metrics both come from here.  Elementwise float ops
+    give the same bits at any subset of ticks as over the whole block."""
+    drifts, mirrored, shifted = steps
+    if out is None:
+        out = np.empty((len(i), 3))
+    rows = out.T
+    np.multiply(expand(par[3:6]), i / expand(par[6]), out=rows)
+    rows += expand(par[0:3])  # p0 + d * (i / n): float addition commutes
+    if drifts:
+        rows[0] += expand(par[7]) + expand(par[8]) * (expand(par[9]) + i)
+    if mirrored:
+        rows[2] *= expand(par[10])
+    if shifted:
+        rows += expand(par[11:14])
+    return out
 
 
 def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int:
@@ -159,20 +233,15 @@ def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int
 
 def _move_block(tape: _Tape, target_vehicle, world: _World, step: float) -> None:
     n = _intercept_ticks(tape.pos, target_vehicle, tape.t, world, step)
-    if n == 0:
-        return
-    end = world.at(target_vehicle, tape.t + n)
-    frac = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    tape.append(MOVE, -1, tape.pos + (end - tape.pos) * frac)
+    if n > 0:
+        tape.move(n, world.at(target_vehicle, tape.t + n) - tape.pos)
 
 
 def _paint_block(tape: _Tape, seg_id, p_start, p_end, world: _World, cfg) -> None:
-    length = float(np.linalg.norm(np.asarray(p_end) - np.asarray(p_start)))
-    n = max(1, math.ceil(length / (cfg.v_sp * cfg.mu) - 1e-9))
-    u = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    pts = np.asarray(p_start, dtype=float) + (np.asarray(p_end) - np.asarray(p_start)) * u
-    pts[:, 0] += world.offset(np.arange(tape.t + 1, tape.t + n + 1, dtype=float))
-    tape.append(PAINT, seg_id, pts)
+    p0 = np.asarray(p_start, dtype=float)
+    d = np.asarray(p_end, dtype=float) - p0
+    n = max(1, math.ceil(float(np.linalg.norm(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
+    tape.drifting(PAINT, seg_id, n, p0, d, world)
 
 
 _KIND_CLASS = {"vertical_side": "side", "hood": "top", "roof": "top", "back_door": "rear"}
@@ -222,7 +291,7 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
             turn = math.ceil(cfg.head_turn_wait / cfg.mu)
         prev_class = klass
 
-        entry_from = len(tape_l.blocks)
+        entry_from = len(tape_l.actions)
         tape_l.hold(turn, REORIENT)
 
         first = scene.segment(paintable[0])
@@ -258,8 +327,7 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
 
         if mirror and lockstep:
             # partner mirrors the whole entry (reorient, window wait, transit)
-            for action, sid, pos in tape_l.blocks[entry_from:]:
-                tape_r.append(action, sid, pos * _MIRROR_Z)
+            tape_r.replay(tape_l, entry_from)
         else:
             # depart as late as possible: camping on the moving surface while
             # a neighbor is still painting nearby invites collisions
@@ -277,16 +345,15 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
             tape_r.hold(max(0, w), WAIT)
             _move_block(tape_r, target_r, world, step)
             t_start = max(t_start, tape_r.t - delay)
-            if tape_l.t < t_start:  # track the drifting start until sync
-                tape_l.append(MOVE, -1, world.track(start, tape_l.t, t_start - tape_l.t))
-            if tape_r.t < t_start + delay:
-                tape_r.append(
-                    MOVE, -1, world.track(target_r, tape_r.t, t_start + delay - tape_r.t)
-                )
+            # track the drifting start until sync
+            for tape, p, t_sync in ((tape_l, start, t_start), (tape_r, target_r, t_start + delay)):
+                if tape.t < t_sync:
+                    p0 = np.asarray(p, dtype=float)
+                    tape.drifting(MOVE, -1, t_sync - tape.t, p0, None, world)
             lockstep = mirror  # synced mirror episode restores lockstep
 
         # left arm paints the episode; remember its blocks for the replay
-        replay_from = len(tape_l.blocks)
+        replay_from = len(tape_l.actions)
         for idx, sid in enumerate(paintable):
             if tape_l.t >= cfg.t_max:
                 unvisited += len(paintable) - idx
@@ -303,16 +370,14 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
             _paint_block(tape_l, sid, start, end, world, cfg)
 
         # expanded side replays the episode under the panel transform
-        shift = np.array([world.k * delay, 0.0, offset])
-        for action, sid, pos in tape_l.blocks[replay_from:]:
-            tape_r.append(action, sid, pos * _MIRROR_Z if mirror else pos + shift)
+        tape_r.replay(tape_l, replay_from, None if mirror else (world.k * delay, 0.0, offset))
 
     metrics.n_unvisits[left.id] = unvisited
     metrics.n_unvisits[right.id] = 0
     metrics.horizon_exhausted = metrics.horizon_exhausted or exhausted
 
     for arm, tape in ((left, tape_l), (right, tape_r)):
-        if tape.blocks:
+        if tape.actions:
             _move_block_fixed(tape, tape.home, cfg.v_mv * cfg.mu)
         metrics.t_a[arm.id] = min(tape.t, cfg.t_max) * cfg.mu
     return tape_l, tape_r
@@ -321,11 +386,8 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
 def _move_block_fixed(tape: _Tape, target, step: float) -> None:
     d = np.asarray(target, dtype=float) - tape.pos
     dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        return
-    n = max(1, math.ceil(dist / step - 1e-12))
-    frac = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    tape.append(MOVE, -1, tape.pos + d * frac)
+    if dist > 0.0:
+        tape.move(max(1, math.ceil(dist / step - 1e-12)), d)
 
 
 def _choose_endpoints(pos, seg, t, world: _World):
@@ -340,27 +402,53 @@ def _render(tapes: list[_Tape], arm_ids, cfg) -> Trajectory:
     t_end = min(cfg.t_max, max((tape.t for tape in tapes), default=0))
     n = len(tapes)
     pos = np.empty((n, t_end + 1, 3))
-    act = np.full((n, t_end + 1), HOME, dtype=np.int8)
-    seg = np.full((n, t_end + 1), -1, dtype=np.int32)
-    homes = np.stack([tape.home for tape in tapes])
+    act = np.empty((n, t_end + 1), dtype=np.int8)
+    seg = np.empty((n, t_end + 1), dtype=np.int32)
+    ticks = np.arange(t_end + 1)
     for i, tape in enumerate(tapes):
-        pos[i, 0] = tape.home
-        if tape.blocks:
-            act[i, 0] = WAIT
-        t = 1
-        for action, sid, block in tape.blocks:
-            if t > t_end:
-                break
-            m = min(len(block), t_end + 1 - t)
-            pos[i, t : t + m] = block[:m]
-            act[i, t : t + m] = action
-            seg[i, t : t + m] = sid
-            t += m
-        if t <= t_end:
-            pos[i, t:] = pos[i, t - 1]
+        pieces = _pieces(tape, t_end)
+        length = np.diff(pieces.bounds)
+        act[i] = np.repeat(pieces.actions, length)
+        seg[i] = np.repeat(pieces.seg_ids, length)
+        i_local = ticks - np.repeat(pieces.bounds[:-1] - 1, length)
+        expand = partial(np.repeat, repeats=length, axis=-1)
+        _rows(pieces.par, pieces.steps, i_local, expand, pos[i])
+    homes = np.stack([tape.home for tape in tapes])
     return Trajectory(
         arm_ids=tuple(arm_ids), positions=pos, actions=act, seg_ids=seg, homes=homes, mu=cfg.mu
     )
+
+
+def _pieces(tape: _Tape, t_end: int) -> _Pieces:
+    """The tape over ticks 0..t_end as the table lays it out: home at tick 0
+    (action WAIT, or HOME for an idle arm), the blocks cut at t_end, then the
+    last row held (HOME)."""
+    n_blocks = len(tape.actions)
+    par = np.empty((n_blocks + 2, _N_PARAMS))
+    par[0] = _hold_params(tape.home)
+    par[1:-1] = np.frombuffer(tape.params).reshape(n_blocks, _N_PARAMS)
+    par[-1] = _hold_params(tape.pos)
+    starts = np.zeros(n_blocks + 2, dtype=np.int64)
+    starts[1:] = np.cumsum(par[:-1, 6])
+    m = int(np.searchsorted(starts, t_end, side="right"))
+    actions = np.full(n_blocks + 2, HOME, dtype=np.int8)
+    actions[1:-1] = tape.actions
+    actions[0] = WAIT if n_blocks else HOME
+    seg_ids = np.full(n_blocks + 2, -1, dtype=np.int32)
+    seg_ids[1:-1] = tape.seg_ids
+    par = par[:m].T.copy()
+    steps = (not _is_neg0(par[7:9]), bool((par[10] != 1.0).any()), not _is_neg0(par[11:14]))
+    bounds = np.append(starts[:m], t_end + 1)
+    return _Pieces(bounds, actions[:m], seg_ids[:m], par, steps)
+
+
+def _hold_params(p: np.ndarray) -> list:
+    return [*p.tolist(), *_NEG0, 1, *_NO_DRIFT, *_NO_POST]
+
+
+def _is_neg0(a: np.ndarray) -> bool:
+    """Every entry is -0.0, so adding it changes no float."""
+    return not a.any() and bool(np.signbit(a).all())
 
 
 def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:
@@ -398,80 +486,99 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
 
 def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
     """Out-of-range time per arm id and collision time of the table
-    ``_render`` would build from the tapes (``arms``: their ArmConfigs),
-    read from the tapes' blocks: the same floats, tested with the same
-    formulas, on the ticks that bounding boxes cannot rule out.
+    ``_render`` would build, tested with the same formulas on the same
+    floats, but only on the ticks that interval boxes cannot decide.
 
-    Between consecutive block starts of all arms, every arm stays in one
-    block; its box there is taken over the floats the table holds.  Float
-    subtraction, squaring and a sum in the same order are monotone, so no
-    tick's squared distance to the sphere center exceeds that of its box's
-    farthest corner, and no two heads' squared distance is below that of
-    their boxes' gap."""
+    Between consecutive piece starts of all arms each arm stays in one
+    piece; its box there spans its rows at the interval's two ends.  Every
+    step of ``_rows`` is monotone in the tick, so each row component is,
+    except the x of a drifting stroke that runs against the line (a rising
+    plus a falling sequence).  Those rows stay within 4u·S of the exact
+    affine values (u = 2**-53, S the parameters' scale, ``_scale``), so
+    none lies more than 8u·S outside the end rows' box: the margin
+    2**-48·S = 32u·S covers that and the widening's own rounding.  Float
+    subtraction, squaring and a sum in one order are monotone too, so a box
+    whose nearest point is outside the sphere is wholly out of range, one
+    whose farthest corner is inside is wholly in, and two boxes decide a
+    pair's collision the same way."""
     t_end = min(cfg.t_max, max(tape.t for tape in tapes))
-    path = np.empty((len(tapes), t_end + 1, 3))
-    layouts = []
-    for i, tape in enumerate(tapes):
-        pieces, firsts, actions = _laid_out(tape, t_end)
-        np.concatenate(pieces, out=path[i])
-        layouts.append((firsts, actions))
+    laid = [_pieces(tape, t_end) for tape in tapes]
     # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
-    starts = np.sort(np.concatenate([firsts for firsts, _ in layouts]))
+    starts = np.sort(np.concatenate([pieces.bounds[:-1] for pieces in laid]))
     starts = starts[np.diff(starts, prepend=-1) > 0]
-    lo = np.minimum.reduceat(path, starts, axis=1)
-    hi = np.maximum.reduceat(path, starts, axis=1)
     bounds = np.append(starts, t_end + 1)
+    length = np.diff(bounds)
+    n_arms, n_iv = len(tapes), len(starts)
 
-    t_out = {}
-    for i, (arm, (firsts, actions)) in enumerate(zip(arms, layouts)):
-        center = np.asarray(arm.center)
-        r2 = arm.radius**2
-        k = np.flatnonzero(actions[np.searchsorted(firsts, starts, side="right") - 1] == PAINT)
-        far = np.maximum(np.abs(lo[i, k] - center), np.abs(hi[i, k] - center))
-        ticks = _interval_ticks(bounds, k[(far**2).sum(axis=1) > r2])
-        d = path[i, ticks]
-        d -= center
-        t_out[arm.id] = float(((d**2).sum(axis=1) > r2).sum()) * cfg.mu
+    # all tapes' pieces side by side; on[a, q] is arm a's piece on interval q
+    par = np.concatenate([pieces.par for pieces in laid], axis=1)
+    steps = tuple(any(flags) for flags in zip(*(pieces.steps for pieces in laid)))
+    first = np.concatenate([pieces.bounds[:-1] for pieces in laid])
+    actions = np.concatenate([pieces.actions for pieces in laid])
+    on = np.stack([np.searchsorted(pieces.bounds, starts, side="right") - 1 for pieces in laid])
+    on += np.cumsum([0, *(len(pieces.actions) for pieces in laid[:-1])])[:, None]
+
+    def rows(j, ticks):  # the rows of pieces j at ticks
+        return _rows(par, steps, ticks - first[j] + 1, lambda a: a[..., j])
+
+    ends = rows(np.tile(on.ravel(), 2), np.repeat([starts, bounds[1:] - 1], n_arms, axis=0).ravel())
+    ends = ends.reshape(2, n_arms, n_iv, 3)
+    margin = 2.0**-48 * _scale(par, t_end)
+    lo = np.minimum(ends[0], ends[1]) - margin
+    hi = np.maximum(ends[0], ends[1]) + margin
+
+    center = np.array([arm.center for arm in arms], dtype=float)
+    r2 = np.array([arm.radius**2 for arm in arms])
+    c = center[:, None]
+    paint = actions[on] == PAINT
+    near = np.clip(c, lo, hi) - c
+    far = np.maximum(np.abs(lo - c), np.abs(hi - c))
+    out = paint & ((near**2).sum(axis=2) > r2[:, None])
+    straddle = paint & ~out & ((far**2).sum(axis=2) > r2[:, None])
 
     g2 = cfg.gamma_col * cfg.gamma_col
+    pa, pb = np.triu_indices(n_arms, 1)
+    gap = np.maximum(np.maximum(lo[pa] - hi[pb], lo[pb] - hi[pa]), 0.0)
+    span = np.maximum(hi[pa] - lo[pb], hi[pb] - lo[pa])
+    whole = ((span**2).sum(axis=2) < g2).any(axis=0)  # every tick collides
+    close = ((gap**2).sum(axis=2) < g2) & ~whole
+
+    # each arm's rows on the intervals it is tested on, computed once
+    need = straddle.copy()
+    for a in range(n_arms):
+        need[a] |= close[(pa == a) | (pb == a)].any(axis=0)
+    na, nq = np.nonzero(need)
+    at = np.zeros((n_arms, n_iv), dtype=np.int64)  # where they start in ``got``
+    at[na, nq] = np.cumsum(length[nq]) - length[nq]
+    got = rows(np.repeat(on[na, nq], length[nq]), _runs(bounds[nq], length[nq]))
+
+    sa, sq = np.nonzero(straddle)
+    owner = np.repeat(sa, length[sq])
+    d = got[_runs(at[sa, sq], length[sq])]
+    d -= center[owner]
+    outside = owner[(d**2).sum(axis=1) > r2[owner]]
+    count = (out * length).sum(axis=1) + np.bincount(outside, minlength=n_arms)
+    t_out = {arm.id: float(n) * cfg.mu for arm, n in zip(arms, count)}
+
     colliding = np.zeros(t_end + 1, dtype=bool)
-    for i in range(len(tapes)):
-        for j in range(i + 1, len(tapes)):
-            gap = np.maximum(np.maximum(lo[i] - hi[j], lo[j] - hi[i]), 0.0)
-            ticks = _interval_ticks(bounds, np.flatnonzero((gap**2).sum(axis=1) < g2))
-            # in place: a second gathered copy raised the peak RSS
-            d = path[i, ticks]
-            d -= path[j, ticks]
-            colliding[ticks[(d**2).sum(axis=1) < g2]] = True
+    colliding[_runs(starts[whole], length[whole])] = True
+    cp, cq = np.nonzero(close)
+    ticks = _runs(bounds[cq], length[cq])
+    d = got[_runs(at[pa[cp], cq], length[cq])]
+    d -= got[_runs(at[pb[cp], cq], length[cq])]
+    colliding[ticks[(d**2).sum(axis=1) < g2]] = True
     return t_out, float(colliding.sum()) * cfg.mu
 
 
-def _laid_out(tape: _Tape, t_end: int):
-    """The tape over ticks 0..t_end as ``_render`` lays it out: home at tick
-    0, the blocks cut at t_end, then the last position held.  Returns those
-    pieces, the tick each starts at and the action of each."""
-    pieces, firsts, actions = [tape.home[None]], [0], [WAIT]
-    t = 1
-    for action, _, block in tape.blocks:
-        if t > t_end:
-            break
-        block = block[: t_end + 1 - t]
-        pieces.append(block)
-        firsts.append(t)
-        actions.append(action)
-        t += len(block)
-    if t <= t_end:
-        pieces.append(np.broadcast_to(pieces[-1][-1], (t_end + 1 - t, 3)))
-        firsts.append(t)
-        actions.append(HOME)
-    return pieces, np.array(firsts), np.array(actions)
+def _scale(par: np.ndarray, t_end: int) -> float:
+    """A bound on |p0| + |d| + |off| + |k|·(t0 + i) + |add| of every row."""
+    m = np.abs(par).max(axis=1)
+    return float(m[0:3].max() + m[3:6].max() + m[7] + m[8] * (m[9] + t_end) + m[11:14].max())
 
 
-def _interval_ticks(bounds: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The ticks of intervals ``[bounds[k], bounds[k + 1])``, one interval
-    after another."""
-    first = bounds[k]
-    length = bounds[k + 1] - first
+def _runs(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The integers of runs ``[first, first + length)``, one run after
+    another."""
     return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - first, length)
 
 

@@ -298,13 +298,6 @@ class _World:
         z = 0.0 * s  # the signed zero that p + (1, 0, 0) * s adds to y and z
         return np.array((p[0] + s, p[1] + z, p[2] + z))
 
-    def track(self, p, t0: int, n: int) -> np.ndarray:
-        """Positions on the moving point p for ticks t0+1 .. t0+n."""
-        ts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
-        out = np.tile(np.asarray(p, dtype=float), (n, 1))
-        out[:, 0] += self.offset(ts)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # scenario file i/o

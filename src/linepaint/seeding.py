@@ -99,9 +99,11 @@ def enumerate_boundary_sets(scene: VehicleScene, limit: int):
     return out
 
 
-def build_seed_population(scene: VehicleScene, n_pop: int, rng) -> list[UpperSolution]:
+def build_seed_population(
+    scene: VehicleScene, n_pop: int, rng
+) -> tuple[list[UpperSolution], int]:
     """Boundary-aligned seeds (equal split first) topped up with random
-    permutations to n_pop individuals."""
+    permutations to n_pop individuals, and how many are boundary-aligned."""
     pop: list[UpperSolution] = []
     for bounds in enumerate_boundary_sets(scene, n_pop - 1):
         sol = solution_from_boundaries(bounds, scene)
@@ -109,9 +111,10 @@ def build_seed_population(scene: VehicleScene, n_pop: int, rng) -> list[UpperSol
             pop.append(sol)
         if len(pop) >= n_pop - 1:
             break
+    n_boundary = len(pop)
     while len(pop) < n_pop:
         pop.append(random_solution(scene.n_dim, rng))
-    return pop
+    return pop, n_boundary
 
 
 def random_population(scene: VehicleScene, n_pop: int, rng):

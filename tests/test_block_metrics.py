@@ -1,6 +1,9 @@
 """simulate scores a plan from its tapes' phase blocks; the tick-level scans
 of the rendered table are the oracles it must match bit for bit."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,18 +12,23 @@ from linepaint.evaluation import evaluate_assignment
 from linepaint.ga import PopulationEvaluator
 from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import (
-    MOVE,
     PAINT,
-    WAIT,
     _block_metrics,
     _render,
+    _rows,
     _Tape,
     collision_time,
     simulate,
 )
 from linepaint.presets import preset_scene
 from linepaint.repair import repair_all
-from linepaint.scene import ArmConfig, ScenarioConfig, SyntheticSpec, generate_synthetic_scene
+from linepaint.scene import (
+    ArmConfig,
+    ScenarioConfig,
+    SyntheticSpec,
+    _World,
+    generate_synthetic_scene,
+)
 
 from _oracles import (
     oracle_out_of_range,
@@ -80,65 +88,84 @@ _ARMS = (
 )
 
 
-def _tape(home, *blocks):
+def _world(k: float = 0.0, off0: float = 0.0) -> _World:
+    """A line that drifts k mm per tick from x offset off0 at tick 0."""
+    line = SimpleNamespace(velocity=k, reference_position=off0)
+    return _World(SimpleNamespace(line=line, front_x=0.0), 1.0)
+
+
+def _paint(tape, n, d, world=None):
+    """An n-tick stroke from the tape's position along d."""
+    tape.drifting(PAINT, 1, n, tape.pos.copy(), np.asarray(d, dtype=float), world or _world())
+
+
+def _parked(home, n):
     tape = _Tape(home)
-    for action, pos in blocks:
-        tape.append(action, 1 if action == PAINT else -1, np.asarray(pos, dtype=float))
+    tape.hold(n)
     return tape
 
 
-def _line(a, b, n):
-    """n ticks from a (exclusive) to b (inclusive)."""
-    frac = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    return np.asarray(a) + (np.asarray(b, dtype=float) - np.asarray(a)) * frac
-
-
 def _edge_distance_exactly_gamma():
-    # 100 ticks in lockstep exactly gamma_col apart, which the boxes drop;
-    # two ticks exactly gamma_col apart in overlapping boxes, which the
-    # strict test rejects; then one tick 1 mm closer
-    xs = np.arange(1, 101, dtype=float)[:, None]
-    a = np.hstack([xs, np.zeros((100, 1)), np.full((100, 1), -150.0)])
-    b = a + [0.0, 0.0, 300.0]
-    end = a[-1]
-    tape_a = _tape((0.0, 0.0, -150.0), (MOVE, a), (WAIT, [end, end, end]))
-    tape_b = _tape(
-        (0.0, 0.0, 150.0),
-        (MOVE, b),
-        (MOVE, [end + [300.0, 0.0, 0.0], end + [0.0, 0.0, 300.0]]),
-        (WAIT, [end + [0.0, 0.0, 299.0]]),
-    )
-    return [tape_a, tape_b], 1
+    # 100 ticks in lockstep exactly gamma_col apart and two ticks exactly
+    # gamma_col apart, which the strict test rejects; then one tick 1 mm
+    # closer.  The jumps are one-tick moves.
+    tape_a, tape_b = _Tape((0.0, 0.0, -150.0)), _Tape((0.0, 0.0, 150.0))
+    tape_a.move(100, np.array([100.0, 0.0, 0.0]))
+    tape_a.hold(3)
+    tape_b.move(100, np.array([100.0, 0.0, 0.0]))
+    for d in ([300.0, 0.0, -300.0], [-300.0, 0.0, 300.0], [0.0, 0.0, -1.0]):
+        tape_b.move(1, np.array(d))
+    return [tape_a, tape_b], _ARMS, 15000, 1
 
 
 def _edge_one_tick_inside_long_block():
-    # a 2001-tick stroke along x passes a parked head 299.9 mm off its line;
+    # a 2000-tick stroke along x passes a parked head 299.9 mm off its line;
     # only x == 0 is closer than 300 mm
-    stroke = np.zeros((2001, 3))
-    stroke[:, 0] = np.linspace(-10000.0, 10000.0, 2001)
-    tape_a = _tape((-10000.0, 0.0, 0.0), (PAINT, stroke))
-    tape_b = _tape((0.0, 0.0, 299.9), (WAIT, np.tile([0.0, 0.0, 299.9], (2001, 1))))
-    return [tape_a, tape_b], 1
+    tape_a = _Tape((-10000.0, 0.0, 0.0))
+    _paint(tape_a, 2000, [20000.0, 0.0, 0.0])
+    return [tape_a, _parked((0.0, 0.0, 299.9), 2000)], _ARMS, 15000, 1
 
 
 def _edge_held_past_tape_end():
     # arm 1 stops at tick 10; arm 2 sweeps past the held head afterwards
-    tape_a = _tape((0.0, 0.0, -1000.0), (MOVE, _line((0.0, 0.0, -1000.0), (0.0, 0.0, 0.0), 10)))
-    tape_b = _tape(
-        (5000.0, 0.0, 100.0),
-        (WAIT, np.tile([5000.0, 0.0, 100.0], (20, 1))),
-        (MOVE, _line((5000.0, 0.0, 100.0), (-5000.0, 0.0, 100.0), 100)),
-    )
-    return [tape_a, tape_b], 5  # x in {-200, ..., 200}
+    tape_a = _Tape((0.0, 0.0, -1000.0))
+    tape_a.move(10, np.array([0.0, 0.0, 1000.0]))
+    tape_b = _parked((5000.0, 0.0, 100.0), 20)
+    tape_b.move(100, np.array([-10000.0, 0.0, 0.0]))
+    return [tape_a, tape_b], _ARMS, 15000, 5  # x in {-200, ..., 200}
 
 
 def _edge_block_cut_at_t_max():
-    # t_max = 150 cuts both strokes; the heads only meet, and arm 1 only
+    # t_max = 150 cuts both blocks; the heads only meet, and arm 1 only
     # leaves its sphere, after the cut
-    stroke = _line((0.0, 0.0, -2000.0), (0.0, 0.0, 4000.0), 300)
-    tape_a = _tape((0.0, 0.0, -2000.0), (PAINT, stroke))
-    tape_b = _tape((0.0, 0.0, 4000.0), (WAIT, np.tile([0.0, 0.0, 4000.0], (300, 1))))
-    return [tape_a, tape_b], 0
+    tape_a = _Tape((0.0, 0.0, -2000.0))
+    _paint(tape_a, 300, [0.0, 0.0, 6000.0])
+    return [tape_a, _parked((0.0, 0.0, 4000.0), 300)], _ARMS, 150, 0
+
+
+def _edge_stroke_against_the_line():
+    # a stroke that runs along -x at the line's speed: its drifting x rows
+    # are not monotone, and some interior rows lie an ulp beyond the end
+    # rows.  Arm 1's sphere touches the farthest of them, so a box spanned
+    # by the end rows alone would count the whole stroke out of range.
+    tape_a = _Tape((1500.7, 0.0, 0.0))
+    _paint(tape_a, 50, [-49.0, 0.0, 0.0], _world(0.98, -4321.123))
+    tapes = [tape_a, _parked((0.0, 5000.0, 0.0), 50)]
+    x = _render(tapes, [1, 2], ScenarioConfig()).positions[0, 1:, 0]
+    assert x.max() > max(x[0], x[-1])
+    arms = (
+        ArmConfig(1, (x.max() + 1024.0, 0.0, 0.0), 1024.0, 1, "left", 2),
+        ArmConfig(2, (0.0, 5000.0, 0.0), 1000.0, 1, "right", 1),
+    )
+    return tapes, arms, 15000, 0
+
+
+def _edge_wholly_decided():
+    # a stroke wholly outside arm 1's sphere, 100-112 mm from a parked head
+    # throughout: both counts come from the boxes alone
+    tape_a = _Tape((0.0, 0.0, 1500.0))
+    _paint(tape_a, 200, [50.0, 0.0, 0.0])
+    return [tape_a, _parked((0.0, 0.0, 1600.0), 200)], _ARMS, 15000, 201
 
 
 @pytest.mark.parametrize(
@@ -148,20 +175,36 @@ def _edge_block_cut_at_t_max():
         _edge_one_tick_inside_long_block,
         _edge_held_past_tape_end,
         _edge_block_cut_at_t_max,
+        _edge_stroke_against_the_line,
+        _edge_wholly_decided,
     ],
 )
-def test_matches_oracles_on_hand_built_tapes(edge):
-    tapes, colliding_ticks = edge()
-    cfg = ScenarioConfig(gamma_col=300.0, t_max=150 if edge is _edge_block_cut_at_t_max else 15000)
-    t_out, t_col = _block_metrics(tapes, _ARMS, cfg)
-    traj = _render(tapes, [a.id for a in _ARMS], cfg)
-    assert _hex(t_out) == _hex(oracle_out_of_range(traj, _ARMS))
+def test_matches_oracles_on_hand_built_tapes(edge, monkeypatch):
+    tapes, arms, t_max, colliding_ticks = edge()
+    cfg = ScenarioConfig(gamma_col=300.0, t_max=t_max)
+    evaluated = []
+
+    def counted(par, steps, i, expand, out=None):
+        evaluated.append(len(i))
+        return _rows(par, steps, i, expand, out)
+
+    monkeypatch.setattr(lower_sim, "_rows", counted)
+    t_out, t_col = _block_metrics(tapes, arms, cfg)
+    monkeypatch.undo()
+    traj = _render(tapes, [a.id for a in arms], cfg)
+    assert _hex(t_out) == _hex(oracle_out_of_range(traj, arms))
     assert t_col.hex() == collision_time(traj, cfg.gamma_col).hex()
     assert t_col == colliding_ticks * cfg.mu
     if edge is _edge_one_tick_inside_long_block:
         assert t_out[1] > 0.0
     if edge is _edge_block_cut_at_t_max:
         assert traj.positions.shape[1] == 151 and t_out[1] == 0.0
+    if edge is _edge_stroke_against_the_line:
+        assert 0.0 < t_out[1] < 50 * cfg.mu
+    if edge is _edge_wholly_decided:
+        assert t_out[1] == 200 * cfg.mu
+        # only the two end rows of each arm on ticks 0 and 1..200
+        assert evaluated == [8, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +247,26 @@ def test_table_is_rendered_once_from_the_plan(monkeypatch, desk):
     assert np.array_equal(seg_ids, direct.seg_ids)
     assert np.array_equal(traj.homes, direct.homes)
     assert len(rendered) == 1
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_fitness_path_allocation_peak():
+    # the traced allocation peak of one evaluation: 4.3-4.4 MB on v3 while
+    # the fitness path laid the plan out tick by tick, under 2.5 MB from the
+    # phase blocks; per-tick arrays coming back would cross 3 MB
+    scene = preset_scene("v3")
+    rngs = [np.random.default_rng([43, k]) for k in range(30)]
+    assigns = [decode(repair_all(random_solution(scene.n_dim, rng), scene), scene) for rng in rngs]
+    evaluate_assignment(assigns[0], scene)  # the scene's lookups, computed on first use
+    peaks = []
+    for assign in assigns:
+        tracemalloc.start()
+        try:
+            evaluate_assignment(assign, scene)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * 2**20

@@ -51,6 +51,15 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert best["config_hash"] == report["config_hash"]
     trace = (out / "trace.csv").read_text().strip().splitlines()
     assert len(trace) == 1 + 3  # header + generations 0..2
+    info = dict(line.split(": ", 1) for line in (out / "run_info.txt").read_text().splitlines()[1:])
+    assert int(info["boundary_seeds"]) > 0
+
+
+def test_solve_says_when_no_boundary_seed_fits(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["solve", "--preset", "v3", "--pop", "4", "--gens", "0", "--out", str(out)])
+    assert "no boundary set fits" in capsys.readouterr().out
+    assert "boundary_seeds: 0\n" in (out / "run_info.txt").read_text()
 
 
 def test_solve_infeasible_exits_one(tmp_path):

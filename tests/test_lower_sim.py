@@ -221,6 +221,21 @@ def test_mirror_side_is_bit_exact(desk):
     assert mirror_exact(traj, desk)
 
 
+def test_mirror_side_keeps_signed_zeros():
+    # strokes on the plane z = 0: the partner's rows are the left rows times
+    # (1, 1, -1) byte for byte, so its zeros are -0.0
+    toy = toy_scene()
+    on_plane = tuple(
+        dataclasses.replace(s, endpoint_a=(*s.endpoint_a[:2], 0.0), endpoint_b=(*s.endpoint_b[:2], 0.0))
+        for s in toy.segments
+    )
+    scene = dataclasses.replace(toy, segments=on_plane)
+    traj, _ = simulate(((1, 2),), scene)
+    left, right = traj.positions[traj.arm_index(1)], traj.positions[traj.arm_index(2)]
+    assert right.tobytes() == (left * [1.0, 1.0, -1.0]).tobytes()
+    assert np.signbit(right[right[:, 2] == 0.0, 2]).any()
+
+
 def _hood_scene(hood_delay):
     spec = SyntheticSpec(
         seed=3,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from linepaint.genotype import decode, validate
+from linepaint.presets import preset_scene
 from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene, with_config
 from linepaint.seeding import (
     BoundarySet,
@@ -98,8 +99,8 @@ def test_seeds_are_valid_and_boundary_aligned(desk):
 
 def test_population_filled_to_size(desk):
     rng = np.random.default_rng(0)
-    pop = build_seed_population(desk, 100, rng)
-    assert len(pop) == 100
+    pop, n_boundary = build_seed_population(desk, 100, rng)
+    assert len(pop) == 100 and 0 < n_boundary < 100
     assert all(validate(x) is None for x in pop)
     assert pop[0] == solution_from_boundaries(base_boundaries(desk), desk)
 
@@ -125,3 +126,12 @@ def test_overflowing_boundaries_rejected(desk):
     assert solution_from_boundaries(BoundarySet((12, 12)), desk) is None
     # non-increasing cuts are invalid
     assert solution_from_boundaries(BoundarySet((8, 4)), desk) is None
+
+
+def test_boundary_seed_count_is_reported():
+    # v3's cuts, taken on the reference stack and applied to every panel,
+    # overflow a slot for every boundary set, so its initial population is
+    # all random; desk fits some of its sets
+    rng = np.random.default_rng(0)
+    assert build_seed_population(preset_scene("v3"), 100, rng)[1] == 0
+    assert build_seed_population(preset_scene("desk"), 100, rng)[1] > 0
