@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ penalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .genotype import ArmAssignment, UpperSolution, decode
 from .lower_sim import SimMetrics, simulate
@@ -32,20 +32,7 @@ class EvaluationReport:
     t_col: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "work_time_max": self.work_time_max,
-            "penalty_range": self.penalty_range,
-            "penalty_collision": self.penalty_collision,
-            "penalty_order": self.penalty_order,
-            "order_violation_count": {str(k): v for k, v in self.order_violation_count.items()},
-            "strong_feasible": self.strong_feasible,
-            "weak_notes": list(self.weak_notes),
-            "t_a": {str(k): v for k, v in self.t_a.items()},
-            "t_out": {str(k): v for k, v in self.t_out.items()},
-            "n_unvisits": {str(k): v for k, v in self.n_unvisits.items()},
-            "t_col": self.t_col,
-        }
+        return asdict(self)
 
 
 def range_penalty(metrics: SimMetrics, cfg: ScenarioConfig) -> float:

@@ -48,6 +48,8 @@ class GaConfig:
             raise ValueError("tournament size must be at least 2")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise ValueError("crossover_rate must lie in [0, 1]")
 
 
 @dataclass

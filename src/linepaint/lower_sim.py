@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -58,47 +59,31 @@ class Trajectory:
     codes; ``seg_ids`` (n_arms, n_ticks + 1), -1 when not painting; ``homes``
     (n_arms, 3).
 
-    ``simulate`` returns one that keeps the plan's tapes and renders the table
-    with ``_render`` on first access, so scoring a plan never builds it."""
+    Only ``simulate`` builds one.  It keeps the plan's tapes and renders the
+    table with ``_render`` on first read, so scoring a plan never builds it."""
 
-    def __init__(self, arm_ids, positions, actions, seg_ids, homes, mu: float):
+    def __init__(self, tapes: list[_Tape], arm_ids, cfg: ScenarioConfig):
+        self._tapes = tapes
+        self._t_max = cfg.t_max
         self.arm_ids: tuple[int, ...] = tuple(arm_ids)
-        self.mu = mu
-        self._plan = None
-        self._table = (positions, actions, seg_ids, homes)
+        self.mu = cfg.mu
+        self.homes = np.stack([tape.home for tape in tapes])
 
-    @classmethod
-    def _of_plan(cls, tapes: list[_Tape], arm_ids, cfg: ScenarioConfig) -> Trajectory:
-        traj = cls(arm_ids, None, None, None, None, cfg.mu)
-        traj._plan = (tapes, cfg)
-        return traj
-
-    def _rendered(self) -> tuple:
-        if self._plan is not None:
-            tapes, cfg = self._plan
-            t = _render(tapes, self.arm_ids, cfg)
-            self._table = (t.positions, t.actions, t.seg_ids, t.homes)
-            self._plan = None
-        return self._table
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _render(self._tapes, self._t_max)
 
     @property
     def positions(self) -> np.ndarray:
-        return self._rendered()[0]
+        return self._table[0]
 
     @property
     def actions(self) -> np.ndarray:
-        return self._rendered()[1]
+        return self._table[1]
 
     @property
     def seg_ids(self) -> np.ndarray:
-        return self._rendered()[2]
-
-    @property
-    def homes(self) -> np.ndarray:
-        return self._rendered()[3]
-
-    def arm_index(self, arm_id: int) -> int:
-        return self.arm_ids.index(arm_id)
+        return self._table[2]
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +173,22 @@ class _Pieces(NamedTuple):
     actions: np.ndarray
     seg_ids: np.ndarray
     par: np.ndarray  # (14, pieces)
-    steps: tuple[bool, bool, bool]  # some piece drifts, is mirrored, is shifted
 
 
-def _rows(par: np.ndarray, steps, i: np.ndarray, expand, out=None) -> np.ndarray:
-    """Rows (r, 3) at local ticks ``i`` of pieces ``par`` (14, pieces);
-    ``expand`` maps a parameter row to its r values (a repeat or a gather).
+def _rows(par: np.ndarray, j, i: np.ndarray) -> np.ndarray:
+    """Rows (r, 3) of pieces ``j`` of ``par`` (14, pieces) at their local
+    ticks ``i``: ``j`` gathers one piece per row, or is ``slice(None)`` over
+    parameters already repeated per row.
 
     The table and the metrics both come from here.  Elementwise float ops
     give the same bits at any subset of ticks as over the whole block."""
-    drifts, mirrored, shifted = steps
-    if out is None:
-        out = np.empty((len(i), 3))
+    out = np.empty((len(i), 3))
     rows = out.T
-    np.multiply(expand(par[3:6]), i / expand(par[6]), out=rows)
-    rows += expand(par[0:3])  # p0 + d * (i / n): float addition commutes
-    if drifts:
-        rows[0] += expand(par[7]) + expand(par[8]) * (expand(par[9]) + i)
-    if mirrored:
-        rows[2] *= expand(par[10])
-    if shifted:
-        rows += expand(par[11:14])
+    np.multiply(par[3:6, j], i / par[6, j], out=rows)
+    rows += par[0:3, j]  # p0 + d * (i / n): float addition commutes
+    rows[0] += par[7, j] + par[8, j] * (par[9, j] + i)
+    rows[2] *= par[10, j]
+    rows += par[11:14, j]
     return out
 
 
@@ -240,8 +220,12 @@ def _move_block(tape: _Tape, target_vehicle, world: _World, step: float) -> None
 def _paint_block(tape: _Tape, seg_id, p_start, p_end, world: _World, cfg) -> None:
     p0 = np.asarray(p_start, dtype=float)
     d = np.asarray(p_end, dtype=float) - p0
-    n = max(1, math.ceil(float(np.linalg.norm(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
-    tape.drifting(PAINT, seg_id, n, p0, d, world)
+    tape.drifting(PAINT, seg_id, _stroke_ticks(d, cfg), p0, d, world)
+
+
+def _stroke_ticks(d: np.ndarray, cfg) -> int:
+    """Ticks to paint a stroke of extent d at the paint speed."""
+    return max(1, math.ceil(float(np.linalg.norm(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
 
 
 _KIND_CLASS = {"vertical_side": "side", "hood": "top", "roof": "top", "back_door": "rear"}
@@ -264,17 +248,10 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
     # planned arm's, so whole episodes can be replayed bit-for-bit
     lockstep = True
 
-    # group consecutive segments by panel
-    episodes: list[tuple[int, list[int]]] = []
-    for sid in seg_ids:
-        pid = scene.segment(sid).panel_id
-        if episodes and episodes[-1][0] == pid:
-            episodes[-1][1].append(sid)
-        else:
-            episodes.append((pid, [sid]))
-
     exhausted = False
-    for pid, sids in episodes:
+    # one episode per run of consecutive segments on the same panel
+    for pid, sids in groupby(seg_ids, lambda sid: scene.segment(sid).panel_id):
+        sids = list(sids)
         if exhausted or tape_l.t >= cfg.t_max:
             unvisited += len(sids)
             exhausted = True
@@ -308,22 +285,14 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
         mirror = panel.expansion_rule == "mirror"
         offset = panel.parallel_offset
         start, end = _choose_endpoints(tape_l.pos, first, tape_l.t, world)
-
-        def transform_point(p):
-            if mirror:
-                return (p[0], p[1], -p[2])
-            return (p[0], p[1], p[2] + offset)
-
         _move_block(tape_l, start, world, step)
 
         delay = 0
         if panel.expansion_rule == "parallel_with_delay":
-            stroke_ticks = max(
-                1, math.ceil(first.length() / (cfg.v_sp * cfg.mu) - 1e-9)
-            )
-            delay = (
-                math.ceil(panel.delay / cfg.mu) if panel.delay > 0 else 2 * stroke_ticks
-            )
+            if panel.delay > 0:
+                delay = math.ceil(panel.delay / cfg.mu)
+            else:
+                delay = 2 * _stroke_ticks(np.subtract(end, start), cfg)
 
         if mirror and lockstep:
             # partner mirrors the whole entry (reorient, window wait, transit)
@@ -332,7 +301,7 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
             # depart as late as possible: camping on the moving surface while
             # a neighbor is still painting nearby invites collisions
             tape_r.hold(turn, REORIENT)
-            target_r = transform_point(start)
+            target_r = (start[0], start[1], -start[2] if mirror else start[2] + offset)
             n0 = _intercept_ticks(tape_r.pos, target_r, tape_r.t, world, step)
             t_start = max(tape_l.t, tape_r.t + n0 - delay)
             t_arr = t_start + delay
@@ -365,7 +334,7 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
                 if tape_l.t < win[0]:
                     tape_l.hold(math.ceil(win[0]) - tape_l.t, WAIT)
                 start, end = _choose_endpoints(tape_l.pos, seg, tape_l.t, world)
-                _move_block(tape_l, start, world, cfg.v_mv * cfg.mu)
+                _move_block(tape_l, start, world, step)
             metrics.paint_start_times[sid] = (tape_l.t + 1) * cfg.mu
             _paint_block(tape_l, sid, start, end, world, cfg)
 
@@ -378,7 +347,7 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
 
     for arm, tape in ((left, tape_l), (right, tape_r)):
         if tape.actions:
-            _move_block_fixed(tape, tape.home, cfg.v_mv * cfg.mu)
+            _move_block_fixed(tape, tape.home, step)
         metrics.t_a[arm.id] = min(tape.t, cfg.t_max) * cfg.mu
     return tape_l, tape_r
 
@@ -398,25 +367,22 @@ def _choose_endpoints(pos, seg, t, world: _World):
     return seg.endpoint_b, seg.endpoint_a
 
 
-def _render(tapes: list[_Tape], arm_ids, cfg) -> Trajectory:
-    t_end = min(cfg.t_max, max((tape.t for tape in tapes), default=0))
+def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table ``Trajectory`` reads: positions, actions and seg_ids."""
+    t_end = min(t_max, max((tape.t for tape in tapes), default=0))
     n = len(tapes)
     pos = np.empty((n, t_end + 1, 3))
     act = np.empty((n, t_end + 1), dtype=np.int8)
     seg = np.empty((n, t_end + 1), dtype=np.int32)
     ticks = np.arange(t_end + 1)
-    for i, tape in enumerate(tapes):
+    for a, tape in enumerate(tapes):
         pieces = _pieces(tape, t_end)
         length = np.diff(pieces.bounds)
-        act[i] = np.repeat(pieces.actions, length)
-        seg[i] = np.repeat(pieces.seg_ids, length)
+        act[a] = np.repeat(pieces.actions, length)
+        seg[a] = np.repeat(pieces.seg_ids, length)
         i_local = ticks - np.repeat(pieces.bounds[:-1] - 1, length)
-        expand = partial(np.repeat, repeats=length, axis=-1)
-        _rows(pieces.par, pieces.steps, i_local, expand, pos[i])
-    homes = np.stack([tape.home for tape in tapes])
-    return Trajectory(
-        arm_ids=tuple(arm_ids), positions=pos, actions=act, seg_ids=seg, homes=homes, mu=cfg.mu
-    )
+        pos[a] = _rows(np.repeat(pieces.par, length, axis=1), slice(None), i_local)
+    return pos, act, seg
 
 
 def _pieces(tape: _Tape, t_end: int) -> _Pieces:
@@ -436,19 +402,12 @@ def _pieces(tape: _Tape, t_end: int) -> _Pieces:
     actions[0] = WAIT if n_blocks else HOME
     seg_ids = np.full(n_blocks + 2, -1, dtype=np.int32)
     seg_ids[1:-1] = tape.seg_ids
-    par = par[:m].T.copy()
-    steps = (not _is_neg0(par[7:9]), bool((par[10] != 1.0).any()), not _is_neg0(par[11:14]))
     bounds = np.append(starts[:m], t_end + 1)
-    return _Pieces(bounds, actions[:m], seg_ids[:m], par, steps)
+    return _Pieces(bounds, actions[:m], seg_ids[:m], par[:m].T.copy())
 
 
 def _hold_params(p: np.ndarray) -> list:
     return [*p.tolist(), *_NEG0, 1, *_NO_DRIFT, *_NO_POST]
-
-
-def _is_neg0(a: np.ndarray) -> bool:
-    """Every entry is -0.0, so adding it changes no float."""
-    return not a.any() and bool(np.signbit(a).all())
 
 
 def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:
@@ -481,7 +440,7 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
     tapes, arms = tapes_l + tapes_r, [*left_arms, *arms_r]
     metrics.t_out, metrics.t_col = _block_metrics(tapes, arms, cfg)
     metrics.order_violations = order_violation_counts(metrics.paint_start_times, scene)
-    return Trajectory._of_plan(tapes, [a.id for a in arms], cfg), metrics
+    return Trajectory(tapes, [a.id for a in arms], cfg), metrics
 
 
 def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
@@ -512,14 +471,13 @@ def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
 
     # all tapes' pieces side by side; on[a, q] is arm a's piece on interval q
     par = np.concatenate([pieces.par for pieces in laid], axis=1)
-    steps = tuple(any(flags) for flags in zip(*(pieces.steps for pieces in laid)))
     first = np.concatenate([pieces.bounds[:-1] for pieces in laid])
     actions = np.concatenate([pieces.actions for pieces in laid])
     on = np.stack([np.searchsorted(pieces.bounds, starts, side="right") - 1 for pieces in laid])
     on += np.cumsum([0, *(len(pieces.actions) for pieces in laid[:-1])])[:, None]
 
     def rows(j, ticks):  # the rows of pieces j at ticks
-        return _rows(par, steps, ticks - first[j] + 1, lambda a: a[..., j])
+        return _rows(par, j, ticks - first[j] + 1)
 
     ends = rows(np.tile(on.ravel(), 2), np.repeat([starts, bounds[1:] - 1], n_arms, axis=0).ravel())
     ends = ends.reshape(2, n_arms, n_iv, 3)

@@ -11,15 +11,10 @@ reference panel's height stack, and boundaries project onto it the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice, product
 
 from .genotype import UpperSolution, encode, random_solution
 from .scene import ScenarioError, VehicleScene
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    heights: tuple[int, ...]  # cumulative indices on the reference stack
 
 
 def select_reference_panel(scene: VehicleScene) -> int:
@@ -29,29 +24,30 @@ def select_reference_panel(scene: VehicleScene) -> int:
     return max(sides, key=lambda p: (len(scene.panel_segment_ids(p.id)), -p.id)).id
 
 
-def _reference_stack_size(scene: VehicleScene) -> tuple[int, int, int]:
-    ref = select_reference_panel(scene)
-    ref_count = len(scene.panel_segment_ids(ref))
+def _reference_stack_size(scene: VehicleScene) -> tuple[int, int]:
+    """The reference panel's level count, and the stack height with the roof."""
+    ref_count = len(scene.panel_segment_ids(select_reference_panel(scene)))
     roof = next((p for p in scene.panels if p.kind == "roof"), None)
-    roof_count = len(scene.panel_segment_ids(roof.id)) if roof else 0
-    return ref, ref_count, ref_count + roof_count
+    return ref_count, ref_count + (len(scene.panel_segment_ids(roof.id)) if roof else 0)
 
 
-def base_boundaries(scene: VehicleScene) -> BoundarySet:
-    _, _, stack = _reference_stack_size(scene)
+def base_boundaries(scene: VehicleScene) -> tuple[int, ...]:
+    """The equal split: cumulative cut heights on the reference stack, one
+    per arm but the last."""
+    _, stack = _reference_stack_size(scene)
     n = scene.n_arms_side
-    return BoundarySet(tuple(round(i * stack / n) for i in range(1, n)))
+    return tuple(round(i * stack / n) for i in range(1, n))
 
 
-def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperSolution | None:
+def solution_from_boundaries(bounds: tuple[int, ...], scene: VehicleScene) -> UpperSolution | None:
     """Build the genotype whose per-panel blocks follow the boundary heights;
     None when a block overflows its slot."""
     n_arms = scene.n_arms_side
-    _, ref_count, stack = _reference_stack_size(scene)
-    cuts = (0,) + bounds.heights + (stack,)
+    ref_count, stack = _reference_stack_size(scene)
+    cuts = (0, *bounds, stack)
     if list(cuts) != sorted(set(cuts)):
         return None
-    if any(h < 1 or h > stack - 1 for h in bounds.heights):
+    if any(h < 1 or h > stack - 1 for h in bounds):
         return None
 
     per_arm: list[list[int]] = [[] for _ in range(n_arms)]
@@ -71,32 +67,18 @@ def solution_from_boundaries(bounds: BoundarySet, scene: VehicleScene) -> UpperS
     return encode(per_arm, scene)
 
 
-def enumerate_boundary_sets(scene: VehicleScene, limit: int):
+def enumerate_boundary_sets(scene: VehicleScene, limit: int) -> list[tuple[int, ...]]:
     """Base set first, then the depth-first +-1..+-delta shift enumeration."""
     delta = scene.config.delta
     base = base_boundaries(scene)
-    _, _, stack = _reference_stack_size(scene)
-    out = [base]
-    n_b = len(base.heights)
-
-    def extend(shifted: tuple[int, ...], i: int) -> None:
-        if len(out) >= limit:
-            return
-        if i == n_b:
-            if shifted != base.heights:
-                out.append(BoundarySet(shifted))
-            return
-        for j in range(1, delta + 1):
-            for sign in (1, -1):
-                h = base.heights[i] + sign * j
-                if 1 <= h <= stack - 1:
-                    extend(shifted[:i] + (h,) + shifted[i + 1 :], i + 1)
-                if len(out) >= limit:
-                    return
-
-    if delta > 0 and n_b > 0:
-        extend(base.heights, 0)
-    return out
+    _, stack = _reference_stack_size(scene)
+    choices = [
+        [h for j in range(1, delta + 1) for h in (b + j, b - j) if 1 <= h <= stack - 1]
+        for b in base
+    ]
+    # every shift moves each boundary, so only the one-arm product, (), is base
+    shifted = (s for s in product(*choices) if s != base)
+    return [base, *islice(shifted, max(limit - 1, 0))]
 
 
 def build_seed_population(

@@ -87,8 +87,8 @@ def returns_home_ok(traj) -> bool:
 
 def mirror_exact(traj, scene) -> bool:
     """For all-mirror scenes: right trajectory = left with z negated, bitwise."""
-    left_rows = [traj.arm_index(a.id) for a in scene.left_arms()]
-    right_rows = [traj.arm_index(scene.arm(a.id).mirror_partner) for a in scene.left_arms()]
+    left_rows = [traj.arm_ids.index(a.id) for a in scene.left_arms()]
+    right_rows = [traj.arm_ids.index(scene.arm(a.id).mirror_partner) for a in scene.left_arms()]
     flip = np.array([1.0, 1.0, -1.0])
     return bool(
         np.array_equal(traj.positions[left_rows] * flip, traj.positions[right_rows])

@@ -1,7 +1,9 @@
 """Acceptance suite: eight release criteria, one printed PASS/FAIL line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines; the heavy
-end-to-end runs are shared across criteria via module fixtures.
+end-to-end runs are shared across criteria via module fixtures.  Every test
+here carries the ``acceptance`` marker, so ``pytest -m "not acceptance"``
+skips them for a quick loop.
 """
 
 import math
@@ -30,6 +32,8 @@ from _oracles import (
     returns_home_ok,
     speed_bound_ok,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2, 3, 4)
 

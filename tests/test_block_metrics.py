@@ -13,6 +13,7 @@ from linepaint.ga import PopulationEvaluator
 from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import (
     PAINT,
+    Trajectory,
     _block_metrics,
     _render,
     _rows,
@@ -151,7 +152,7 @@ def _edge_stroke_against_the_line():
     tape_a = _Tape((1500.7, 0.0, 0.0))
     _paint(tape_a, 50, [-49.0, 0.0, 0.0], _world(0.98, -4321.123))
     tapes = [tape_a, _parked((0.0, 5000.0, 0.0), 50)]
-    x = _render(tapes, [1, 2], ScenarioConfig()).positions[0, 1:, 0]
+    x = Trajectory(tapes, [1, 2], ScenarioConfig()).positions[0, 1:, 0]
     assert x.max() > max(x[0], x[-1])
     arms = (
         ArmConfig(1, (x.max() + 1024.0, 0.0, 0.0), 1024.0, 1, "left", 2),
@@ -184,14 +185,14 @@ def test_matches_oracles_on_hand_built_tapes(edge, monkeypatch):
     cfg = ScenarioConfig(gamma_col=300.0, t_max=t_max)
     evaluated = []
 
-    def counted(par, steps, i, expand, out=None):
+    def counted(par, j, i):
         evaluated.append(len(i))
-        return _rows(par, steps, i, expand, out)
+        return _rows(par, j, i)
 
     monkeypatch.setattr(lower_sim, "_rows", counted)
     t_out, t_col = _block_metrics(tapes, arms, cfg)
     monkeypatch.undo()
-    traj = _render(tapes, [a.id for a in arms], cfg)
+    traj = Trajectory(tapes, [a.id for a in arms], cfg)
     assert _hex(t_out) == _hex(oracle_out_of_range(traj, arms))
     assert t_col.hex() == collision_time(traj, cfg.gamma_col).hex()
     assert t_col == colliding_ticks * cfg.mu
@@ -242,10 +243,10 @@ def test_table_is_rendered_once_from_the_plan(monkeypatch, desk):
     positions, actions, seg_ids = traj.positions, traj.actions, traj.seg_ids
     assert len(rendered) == 1
     direct = _render(*rendered[0][0])
-    assert np.array_equal(positions, direct.positions)
-    assert np.array_equal(actions, direct.actions)
-    assert np.array_equal(seg_ids, direct.seg_ids)
-    assert np.array_equal(traj.homes, direct.homes)
+    assert np.array_equal(positions, direct[0])
+    assert np.array_equal(actions, direct[1])
+    assert np.array_equal(seg_ids, direct[2])
+    assert np.array_equal(traj.homes, positions[:, 0])
     assert len(rendered) == 1
 
 

@@ -87,6 +87,13 @@ def test_solve_infeasible_exits_one(tmp_path):
 
 def test_missing_scenario_exits_two(tmp_path):
     assert main(["solve", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
+    # any other OS error on an input or output path is a usage error too
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    assert main(["audit", "--preset", "desk", "--assignment", str(tmp_path)]) == 2
+    assert main(["audit", "--scenario", str(tmp_path), "--assignment", str(a_file)]) == 2
+    args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(a_file)]
+    assert main(args) == 2
 
 
 @pytest.mark.parametrize("direction, rejected", [([1.0, 0.0, 0.0], False), ([0, 0, 1], True)])

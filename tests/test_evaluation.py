@@ -59,9 +59,7 @@ def test_penalty_arithmetic_matches_oracle(t_outs, unvisits, t_col):
 
 
 def _feasible_solution(desk):
-    from linepaint.seeding import BoundarySet
-
-    return solution_from_boundaries(BoundarySet((5, 10)), desk)
+    return solution_from_boundaries((5, 10), desk)
 
 
 def test_zero_penalty_objective_equals_max_work_time(desk):

@@ -91,6 +91,9 @@ def test_ga_config_validation():
         dict(n_pop=7),
         dict(n_t=1),
         dict(mutation_rate=1.5),
+        dict(crossover_rate=float("nan")),
+        dict(crossover_rate=-1.0),
+        dict(crossover_rate=5.0),
         dict(n_pop=0),
         dict(n_pop=-2),
         dict(n_gen=-1),

@@ -78,7 +78,7 @@ def test_world_helper_matches_planner_translation(desk):
     world = _World(desk, desk.config.mu)
     checked = 0
     for arm in desk.left_arms():
-        row = traj.arm_index(arm.id)
+        row = traj.arm_ids.index(arm.id)
         for sid in np.unique(traj.seg_ids[row]):
             if sid < 1:
                 continue

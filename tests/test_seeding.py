@@ -5,7 +5,6 @@ from linepaint.genotype import decode, validate
 from linepaint.presets import preset_scene
 from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene, with_config
 from linepaint.seeding import (
-    BoundarySet,
     base_boundaries,
     build_seed_population,
     enumerate_boundary_sets,
@@ -48,7 +47,7 @@ def test_reference_panel_tie_breaks_to_lowest_id():
 
 
 def test_equal_split_base_boundaries(desk):
-    assert base_boundaries(desk).heights == (4, 8)
+    assert base_boundaries(desk) == (4, 8)
 
 
 def test_delta_zero_yields_single_seed(desk):
@@ -60,8 +59,8 @@ def test_delta_one_three_arms_yields_one_plus_four(desk):
     # base + full +-1 enumeration over the 2 boundaries
     assert len(sets) == 1 + 4
     assert sets[0] == base_boundaries(desk)
-    base = base_boundaries(desk).heights
-    shifted = {s.heights for s in sets[1:]}
+    base = base_boundaries(desk)
+    shifted = set(sets[1:])
     assert shifted == {
         (base[0] + 1, base[1] + 1),
         (base[0] + 1, base[1] - 1),
@@ -91,8 +90,8 @@ def test_seeds_are_valid_and_boundary_aligned(desk):
             for a, row in enumerate(assign):
                 mine = [desk.segment(s).height_index for s in row if s in ids]
                 assert mine == sorted(mine)
-                lo = bounds.heights[a - 1] if a > 0 else 0
-                hi = bounds.heights[a] if a < len(bounds.heights) else len(ids)
+                lo = bounds[a - 1] if a > 0 else 0
+                hi = bounds[a] if a < len(bounds) else len(ids)
                 expected = [h for h in range(1, len(ids) + 1) if lo < h <= hi]
                 assert mine == expected
 
@@ -109,7 +108,7 @@ def test_roof_merges_into_reference_stack():
     scene = _scene((6, 6), n_arms=2, roof=4, delta=2, n_d=4)
     # reference stack = 6 side levels + 4 roof levels = 10; equal split at 5
     bounds = base_boundaries(scene)
-    assert bounds.heights == (5,)
+    assert bounds == (5,)
     x = solution_from_boundaries(bounds, scene)
     assert x is not None
     assign = decode(x, scene)
@@ -123,9 +122,9 @@ def test_roof_merges_into_reference_stack():
 
 def test_overflowing_boundaries_rejected(desk):
     # all 12 levels of every panel to arm 1 overflows its slot width
-    assert solution_from_boundaries(BoundarySet((12, 12)), desk) is None
+    assert solution_from_boundaries((12, 12), desk) is None
     # non-increasing cuts are invalid
-    assert solution_from_boundaries(BoundarySet((8, 4)), desk) is None
+    assert solution_from_boundaries((8, 4), desk) is None
 
 
 def test_boundary_seed_count_is_reported():
