@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import yaml
@@ -28,7 +29,7 @@ from .genotype import UpperSolution, decode, validate
 from .lower_sim import ACTION_NAMES, simulate
 from .presets import PRESET_NAMES, preset_scene
 from .render import save_svg
-from .scene import ScenarioError, VehicleScene, load_scene, save_scene, scene_to_dict
+from .scene import ScenarioError, VehicleScene, _YamlDumper, load_scene, save_scene, scene_to_dict
 
 # ablation method ids -> (seeding, bottom-up repair, few-arms repair)
 METHODS = {
@@ -44,11 +45,8 @@ METHODS = {
 
 
 def _config_hash(scene: VehicleScene, ga_cfg: ga.GaConfig) -> str:
-    doc = {
-        "scene": scene_to_dict(scene),
-        "ga": {k: getattr(ga_cfg, k) for k in ga.GaConfig.__dataclass_fields__},
-    }
-    blob = yaml.safe_dump(doc, sort_keys=True).encode()
+    doc = {"scene": scene_to_dict(scene), "ga": asdict(ga_cfg)}
+    blob = yaml.dump(doc, Dumper=_YamlDumper, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -194,6 +192,16 @@ def cmd_solve(args) -> int:
     return 0 if report.strong_feasible else 1
 
 
+def _ids(values) -> tuple[int, ...]:
+    """A JSON list of integer ids; a float, a boolean or a string is no id."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"expected a list of ids, got {values!r}")
+    for v in values:
+        if type(v) is not int:
+            raise ScenarioError(f"ids must be integers, got {v!r}")
+    return tuple(values)
+
+
 def cmd_audit(args) -> int:
     scene = _load(args)
     doc = json.loads(Path(args.assignment).read_text())
@@ -203,18 +211,16 @@ def cmd_audit(args) -> int:
                 f"unsupported assignment format_version {doc.get('format_version')}"
             )
         if "genes" in doc:
-            sol = UpperSolution(tuple(int(g) for g in doc["genes"]))
+            sol = UpperSolution(_ids(doc["genes"]))
             assign = decode(sol, scene)  # ValueError unless there are n_dim genes
             problem = validate(sol)
             if problem:
                 raise ScenarioError(f"genes are not a permutation of 1..{scene.n_dim}: {problem}")
         elif "arms" in doc:
-            rows = sorted(doc["arms"], key=int)
-            if len(rows) != scene.n_arms_side:
-                raise ScenarioError(
-                    f"assignment has {len(rows)} arms, scene has {scene.n_arms_side} per side"
-                )
-            assign = tuple(tuple(int(s) for s in doc["arms"][r]) for r in rows)
+            keys = [str(a.id) for a in scene.left_arms()]
+            if not isinstance(doc["arms"], dict) or doc["arms"].keys() != set(keys):
+                raise ScenarioError(f"'arms' must map each one-side arm id {keys} to a list")
+            assign = tuple(_ids(doc["arms"][k]) for k in keys)
         else:
             raise ScenarioError("assignment file needs a 'genes' or 'arms' field")
     except (AttributeError, IndexError, TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +36,22 @@ VERTICAL_KINDS = ("vertical_side", "back_door")
 
 class ScenarioError(Exception):
     """Malformed or inconsistent scenario data."""
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# per field annotation (a string, as annotations are postponed): whether a value fits it
+_FITS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": _is_real,
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "tuple[float, float, float]": lambda v: (
+        isinstance(v, tuple) and len(v) == 3 and all(map(_is_real, v))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,14 @@ class VehicleScene:
 
     def __post_init__(self):
         """Raise ScenarioError on any inconsistency, however the scene was built."""
+        for record in (self, *self.panels, *self.segments, *self.arms, self.line, self.config):
+            for f in fields(record):
+                value = getattr(record, f.name)
+                # panels, segments, arms, line and config have no entry: the loop visits them
+                if f.type in _FITS and not _FITS[f.type](value):
+                    raise ScenarioError(
+                        f"{type(record).__name__}.{f.name} must be {f.type}, got {value!r}"
+                    )
         # written as `not lo < x < inf` here and below so that NaN fails too
         for what, values in (
             ("front_x", (self.front_x,)),
@@ -172,11 +196,9 @@ class VehicleScene:
             raise ScenarioError("transit speed must be finite and exceed line velocity")
         if not 0 <= cfg.head_turn_wait < math.inf:
             raise ScenarioError("head_turn_wait must be finite and not negative")
-        if not isinstance(cfg.back_door_rule, bool):
-            raise ScenarioError(f"back_door_rule must be true or false, got {cfg.back_door_rule!r}")
         for name, least in (("t_max", 1), ("epsilon", 0), ("delta", 0), ("n_d", 0)):
             value = getattr(cfg, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if value < least:
                 raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.n_dim % len(left):
             raise ScenarioError(f"n_segs + n_d = {self.n_dim} not divisible by {len(left)} arms")
@@ -303,110 +325,77 @@ class _World:
 # scenario file i/o
 
 
+# file keys that are not their field's name
+_FILE_KEYS = {"panel_id": "panel", "endpoint_a": "a", "endpoint_b": "b"}
+# PyYAML's libyaml bindings when it was built with them: same documents, faster
+_YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YamlDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _mapping(doc, keys, where: str) -> dict:
+    """doc, if it is a mapping with no key outside keys."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(doc).__name__}")
+    unknown = doc.keys() - set(keys)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    return doc
+
+
+def _to_doc(record) -> dict:
+    """A record's file mapping: each field under its file key, tuples as lists."""
+    doc = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        doc[_FILE_KEYS.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _from_doc(cls, doc):
+    """A cls record from its file mapping; an omitted key takes the field's default."""
+    names = {_FILE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    _mapping(doc, names, cls.__name__)
+    return cls(**{names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+
 def scene_to_dict(scene: VehicleScene) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "scene": {
             "name": scene.name,
             "front_x": scene.front_x,
-            "panels": [
-                {
-                    "id": p.id,
-                    "kind": p.kind,
-                    "expansion_rule": p.expansion_rule,
-                    "name": p.name,
-                    "parallel_offset": p.parallel_offset,
-                    "delay": p.delay,
-                }
-                for p in scene.panels
-            ],
-            "segments": [
-                {
-                    "id": s.id,
-                    "panel": s.panel_id,
-                    "a": list(s.endpoint_a),
-                    "b": list(s.endpoint_b),
-                    "height_index": s.height_index,
-                    "side": s.side,
-                }
-                for s in scene.segments
-            ],
+            "panels": [_to_doc(p) for p in scene.panels],
+            "segments": [_to_doc(s) for s in scene.segments],
         },
-        "arms": [
-            {
-                "id": a.id,
-                "center": list(a.center),
-                "radius": a.radius,
-                "row": a.row,
-                "side": a.side,
-                "mirror_partner": a.mirror_partner,
-            }
-            for a in scene.arms
-        ],
-        "line": {
-            "velocity": scene.line.velocity,
-            "reference_position": scene.line.reference_position,
-        },
-        "config": {k: getattr(scene.config, k) for k in ScenarioConfig.__dataclass_fields__},
+        "arms": [_to_doc(a) for a in scene.arms],
+        "line": _to_doc(scene.line),
+        "config": _to_doc(scene.config),
     }
 
 
 def scene_from_dict(doc: dict) -> VehicleScene:
     try:
+        _mapping(doc, ("format_version", "scene", "arms", "line", "config"), "scenario")
         version = doc["format_version"]
         if version != FORMAT_VERSION:
             raise ScenarioError(f"unsupported format_version {version}")
-        sc = doc["scene"]
-        panels = tuple(
-            Panel(
-                id=int(p["id"]),
-                kind=p["kind"],
-                expansion_rule=p["expansion_rule"],
-                name=p.get("name", ""),
-                parallel_offset=float(p.get("parallel_offset", 0.0)),
-                delay=float(p.get("delay", 0.0)),
-            )
-            for p in sc["panels"]
-        )
-        segments = tuple(
-            PaintSegment(
-                id=int(s["id"]),
-                panel_id=int(s["panel"]),
-                endpoint_a=tuple(float(v) for v in s["a"]),
-                endpoint_b=tuple(float(v) for v in s["b"]),
-                height_index=int(s["height_index"]),
-                side=s.get("side", "left"),
-            )
-            for s in sc["segments"]
-        )
-        arms = tuple(
-            ArmConfig(
-                id=int(a["id"]),
-                center=tuple(float(v) for v in a["center"]),
-                radius=float(a["radius"]),
-                row=int(a["row"]),
-                side=a["side"],
-                mirror_partner=int(a["mirror_partner"]),
-            )
-            for a in doc["arms"]
-        )
-        # the planner models a line along +x only; files may still spell it out
-        direction = doc["line"].get("direction", (1.0, 0.0, 0.0))
-        if [float(v) for v in direction] != [1.0, 0.0, 0.0]:
-            raise ScenarioError(f"line direction must be [1, 0, 0] (+x), got {direction}")
-        line = LineKinematics(
-            velocity=float(doc["line"]["velocity"]),
-            reference_position=float(doc["line"].get("reference_position", 0.0)),
-        )
-        cfg = ScenarioConfig(**{k: v for k, v in doc.get("config", {}).items()})
+        sc = _mapping(doc["scene"], ("name", "front_x", "panels", "segments"), "scene")
+        line = doc["line"]
+        if isinstance(line, dict) and "direction" in line:
+            # the planner models a line along +x only; files may still spell it out
+            line = dict(line)
+            direction = line.pop("direction")
+            if direction != [1, 0, 0]:
+                raise ScenarioError(f"line direction must be [1, 0, 0] (+x), got {direction}")
+        segments = (_from_doc(PaintSegment, s) for s in sc["segments"])
         return VehicleScene(
-            name=sc.get("name", ""),
-            front_x=float(sc["front_x"]),
-            panels=panels,
+            name=sc["name"],
+            front_x=sc["front_x"],
+            panels=tuple(_from_doc(Panel, p) for p in sc["panels"]),
             segments=tuple(sorted(segments, key=lambda s: s.id)),
-            arms=arms,
-            line=line,
-            config=cfg,
+            arms=tuple(_from_doc(ArmConfig, a) for a in doc["arms"]),
+            line=_from_doc(LineKinematics, line),
+            config=_from_doc(ScenarioConfig, doc.get("config", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
@@ -415,17 +404,15 @@ def scene_from_dict(doc: dict) -> VehicleScene:
 def load_scene(path) -> VehicleScene:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YamlLoader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: scenario must be a mapping")
     return scene_from_dict(doc)
 
 
 def save_scene(scene: VehicleScene, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scene_to_dict(scene), fh, sort_keys=False)
+        yaml.dump(scene_to_dict(scene), fh, Dumper=_YamlDumper, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,12 @@ def test_audit_unknown_segment_exits_two(tmp_path):
         {"genes": list(range(1, 94))},
         {"genes": list(range(4, 91))},
         {"genes": [1000, *range(2, 91)]},
+        # ids that are not JSON integers, and arms that are not desk's one-side arms
+        {"genes": [1, 2, 3.7, *range(4, 91)]},
+        {"genes": [True, *range(2, 91)]},
+        {"genes": [1, 2, 3, 4, "5", *range(6, 91)]},
+        {"arms": {"1": [1.5, *range(2, 21)], "2": list(range(21, 41)), "3": list(range(41, 61))}},
+        {"arms": {"7": list(range(1, 21)), "8": list(range(21, 41)), "9": list(range(41, 61))}},
     ],
 )
 def test_audit_malformed_assignment_exits_two(tmp_path, doc):
@@ -252,6 +258,11 @@ def test_audit_malformed_assignment_exits_two(tmp_path, doc):
     ],
 )
 def test_non_finite_geometry_exits_two(tmp_path, desk, keys, value):
+    assert _audit_edited_desk(tmp_path, desk, keys, value) == 2
+
+
+def _audit_edited_desk(tmp_path, desk, keys, value):
+    """Exit code of `audit` on a desk file with doc[keys...] set to value."""
     doc = scene_to_dict(desk)
     parent = doc
     for key in keys[:-1]:
@@ -261,7 +272,34 @@ def test_non_finite_geometry_exits_two(tmp_path, desk, keys, value):
     scenario.write_text(yaml.safe_dump(doc))
     assignment = tmp_path / "assignment.json"
     assignment.write_text(json.dumps({"genes": list(range(1, desk.n_dim + 1))}))
-    assert main(["audit", "--scenario", str(scenario), "--assignment", str(assignment)]) == 2
+    return main(["audit", "--scenario", str(scenario), "--assignment", str(assignment)])
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        # unknown keys, which would be ignored
+        (("confg",), {"t_p": 40.0}),
+        (("scene", "panels", 0, "paralel_offset"), 10.0),
+        (("line", "velocty"), 147.0),
+        (("scene", "extra"), 1),
+        # non-integers where an integer is meant, which would be truncated
+        (("scene", "segments", 1, "height_index"), 2.5),
+        (("scene", "segments", 2, "id"), 3.9),
+        # booleans, which would be scored as 1
+        (("arms", 0, "radius"), True),
+        (("config", "t_max"), True),
+        # points of the wrong size, and blocks that are not mappings
+        (("scene", "segments", 0, "a"), [0.0, 400.0]),
+        (("scene", "segments", 0, "b"), [900.0, 400.0, -900.0, 0.0]),
+        (("arms", 0, "center"), [500.0, 500.0]),
+        (("line",), None),
+        (("config",), None),
+    ],
+)
+def test_unrepresentable_scenario_exits_two(tmp_path, desk, keys, value, capsys):
+    assert _audit_edited_desk(tmp_path, desk, keys, value) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_audit_duplicate_segment_exits_two(tmp_path):

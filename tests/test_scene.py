@@ -1,10 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 
-from linepaint.genotype import decode
+from linepaint.evaluation import evaluate_assignment
+from linepaint.genotype import UpperSolution, decode
 from linepaint.lower_sim import PAINT, simulate
 from linepaint.scene import (
     ArmConfig,
@@ -22,8 +24,10 @@ from linepaint.scene import (
     scene_from_dict,
     scene_to_dict,
     with_config,
+    _FITS,
     _World,
 )
+from linepaint.repair import repair_all
 from linepaint.seeding import base_boundaries, solution_from_boundaries
 
 
@@ -102,6 +106,51 @@ def test_dict_round_trip(desk):
     assert scene_from_dict(scene_to_dict(desk)) == desk
 
 
+def test_omitted_keys_take_the_dataclass_defaults(desk):
+    doc = scene_to_dict(desk)
+    del doc["config"], doc["line"]["reference_position"]
+    for p in doc["scene"]["panels"]:
+        del p["name"], p["parallel_offset"], p["delay"]
+    for s in doc["scene"]["segments"]:
+        del s["side"]
+    panels = tuple(replace(p, name="") for p in desk.panels)
+    assert scene_from_dict(doc) == replace(desk, panels=panels, config=ScenarioConfig())
+
+
+def _integral_floats_as_ints(doc):
+    if isinstance(doc, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_integral_floats_as_ints(v) for v in doc]
+    return int(doc) if isinstance(doc, float) and doc.is_integer() else doc
+
+
+def _hex(value):
+    """A report's numbers as exact float bits."""
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value).hex()
+    return value
+
+
+def test_yaml_ints_load_as_ints_and_score_like_floats(tmp_path, desk):
+    # 4500 where desk has 4500.0: the loader keeps the int, and it must score the same
+    path = tmp_path / "ints.yaml"
+    path.write_text(yaml.safe_dump(_integral_floats_as_ints(scene_to_dict(desk)), sort_keys=False))
+    ints = load_scene(path)
+    assert type(ints.front_x) is int and type(ints.arms[0].center[0]) is int
+    rng = np.random.default_rng(0)
+    genotypes = [solution_from_boundaries(base_boundaries(desk), desk)]
+    for _ in range(3):
+        x = UpperSolution(tuple(int(g) for g in rng.permutation(desk.n_dim) + 1))
+        genotypes.append(repair_all(x, desk))
+    for x in genotypes:
+        assert repair_all(x, ints) == repair_all(x, desk)
+        a, b = (evaluate_assignment(decode(x, s), s)[0].to_dict() for s in (desk, ints))
+        assert _hex(a) == _hex(b)
+
+
 def test_segment_ids_contiguous(desk):
     assert sorted(s.id for s in desk.segments) == list(range(1, desk.n_segs + 1))
     for panel in desk.panels:
@@ -151,6 +200,9 @@ def test_validation_runs_on_with_config():
         ("rho_out", math.inf),
         ("back_door_rule", "no"),
         ("back_door_rule", 1),
+        ("v_sp", "fast"),
+        ("t_max", True),
+        ("n_d", 2.0),
     ],
 )
 def test_validation_rejects_non_finite_or_non_bool_config(key, value):
@@ -233,6 +285,37 @@ NON_FINITE_GEOMETRY = {
 def test_validation_rejects_non_finite_geometry(desk, field, value):
     with pytest.raises(ScenarioError, match=field):
         NON_FINITE_GEOMETRY[field](desk, value)
+
+
+def test_every_field_annotation_has_a_type_check():
+    # a field whose annotation had no entry would skip the check at construction
+    records = (Panel, PaintSegment, ArmConfig, LineKinematics, ScenarioConfig)
+    types = {f.type for cls in records for f in fields(cls)}
+    types |= {f.type for f in fields(VehicleScene) if f.name in ("name", "front_x")}
+    assert types <= _FITS.keys()
+
+
+# per mistyped field: a scene with that field set to a value of the wrong type
+MISTYPED = {
+    "name": lambda s: replace(s, name=None),
+    "front_x": lambda s: replace(s, front_x="1000"),
+    "id": lambda s: replace(s, panels=_first_replaced(s.panels, id=1.0)),
+    "height_index": lambda s: replace(
+        s, segments=_first_replaced(s.segments, height_index=True)
+    ),
+    "endpoint_a": lambda s: replace(
+        s, segments=_first_replaced(s.segments, endpoint_a=(0.0, 400.0))
+    ),
+    "radius": lambda s: replace(s, arms=_first_replaced(s.arms, radius=True)),
+    "center": lambda s: replace(s, arms=_first_replaced(s.arms, center=[500.0, 500.0, -1900.0])),
+    "velocity": lambda s: replace(s, line=replace(s.line, velocity="98")),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MISTYPED))
+def test_validation_rejects_mistyped_fields(field):
+    with pytest.raises(ScenarioError, match=f"{field} must be"):
+        MISTYPED[field](_minimal_scene())
 
 
 def test_layout_sizes(desk):
