@@ -160,12 +160,8 @@ def cmd_solve(args) -> int:
     _write_trace_csv(out / "trace.csv", result.trace)
     save_svg(traj, scene, out / "routes.svg")
     if args.dump_seeds:
-        from .seeding import build_seed_population
-        import numpy as np
-
-        seeds, _ = build_seed_population(scene, ga_cfg.n_pop, np.random.default_rng(ga_cfg.seed))
         (out / "seeds.json").write_text(
-            json.dumps({"format_version": 1, "seeds": [list(s.genes) for s in seeds]})
+            json.dumps({"format_version": 1, "seeds": [list(x.genes) for x in result.initial]})
         )
     (out / "run_info.txt").write_text(
         f"{started}\n"
@@ -314,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_args(p)
     _add_ga_args(p)
     p.add_argument("--out", default="runs/latest", help="output directory")
-    p.add_argument("--dump-seeds", action="store_true", help="also write seeds.json")
+    p.add_argument(
+        "--dump-seeds",
+        action="store_true",
+        help="also write seeds.json, the GA's generation-0 population",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="score a given assignment")

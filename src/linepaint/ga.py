@@ -72,6 +72,7 @@ class GaResult:
     report: EvaluationReport
     trace: RunTrace
     n_boundary_seeds: int = 0  # boundary-aligned members of the initial population
+    initial: list[UpperSolution] = field(default_factory=list)  # generation 0, as scored
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,7 @@ def run(
     else:
         pop, n_boundary = random_population(scene, ga_cfg.n_pop, rng), 0
 
+    initial = pop
     evaluator = PopulationEvaluator(scene, workers=ga_cfg.workers)
     trace = RunTrace()
     try:
@@ -224,7 +226,9 @@ def run(
             _record(trace, g, pop, reports)
     finally:
         evaluator.close()
-    return GaResult(best=best, report=best_report, trace=trace, n_boundary_seeds=n_boundary)
+    return GaResult(
+        best=best, report=best_report, trace=trace, n_boundary_seeds=n_boundary, initial=initial
+    )
 
 
 def _record(trace: RunTrace, g: int, pop, reports) -> None:

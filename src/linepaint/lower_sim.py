@@ -67,7 +67,10 @@ class Trajectory:
         self._t_max = cfg.t_max
         self.arm_ids: tuple[int, ...] = tuple(arm_ids)
         self.mu = cfg.mu
-        self.homes = np.stack([tape.home for tape in tapes])
+
+    @property
+    def homes(self) -> np.ndarray:
+        return np.stack([tape.home for tape in self._tapes])
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

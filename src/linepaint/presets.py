@@ -15,91 +15,44 @@ from .scene import (
     generate_synthetic_scene,
 )
 
+# v1 and v2 share their run parameters and differ in geometry only
+_PRODUCTION = dict(v_sp=1250.0, v_mv=1250.0, t_p=47.5, epsilon=1, delta=3, n_d=68, t_max=12000)
 
-def desk_spec(seed: int = 1) -> SyntheticSpec:
-    return SyntheticSpec(
-        seed=seed,
-        n_arms_side=3,
-        side_panel_segments=(12, 12, 12, 12, 12),
-        height_min=300.0,
-        height_max=1750.0,
-        arm_spacing=1000.0,
-        name="desk",
-    )
+# name -> (SyntheticSpec fields, ScenarioConfig fields that differ from its defaults)
+_PRESETS = {
+    "v1": (
+        dict(n_arms_side=4, side_panel_segments=(50,) * 4, hood_segments=40,
+             back_door_segments=28, arm_spacing=1000.0, line_velocity=147.0),
+        _PRODUCTION,
+    ),
+    "v2": (
+        dict(n_arms_side=4, side_panel_segments=(48,) * 4, hood_segments=40,
+             back_door_segments=28, arm_spacing=1000.0, line_velocity=147.0),
+        _PRODUCTION,
+    ),
+    "v3": (
+        dict(n_arms_side=3, side_panel_segments=(38,) * 4, hood_segments=26, roof_segments=22,
+             back_door_segments=18, arm_spacing=1000.0, line_velocity=98.0, hood_delay=True),
+        dict(n_d=58, back_door_rule=False),
+    ),
+    "desk": (
+        dict(n_arms_side=3, side_panel_segments=(12,) * 5, height_min=300.0, height_max=1750.0,
+             arm_spacing=1000.0),
+        dict(t_max=12000, back_door_rule=False),
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def desk_config() -> ScenarioConfig:
-    return ScenarioConfig(
-        v_sp=900.0,
-        v_mv=900.0,
-        gamma_col=300.0,
-        t_p=66.0,
-        epsilon=0,
-        delta=5,
-        n_d=30,
-        mu=0.01,
-        t_max=12000,
-        back_door_rule=False,
+def preset_scene(name: str, seed: int = 1) -> VehicleScene:
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r} (expected v1, v2, v3 or desk)")
+    spec, config = _PRESETS[name]
+    return generate_synthetic_scene(
+        SyntheticSpec(seed=seed, name=name, **spec), ScenarioConfig(**config)
     )
 
 
 def desk_scene(seed: int = 1) -> VehicleScene:
-    return generate_synthetic_scene(desk_spec(seed), desk_config())
-
-
-def preset_scene(name: str, seed: int = 1) -> VehicleScene:
-    if name == "desk":
-        return desk_scene(seed)
-    if name == "v1":
-        spec = SyntheticSpec(
-            seed=seed,
-            n_arms_side=4,
-            side_panel_segments=(50, 50, 50, 50),
-            hood_segments=40,
-            back_door_segments=28,
-            arm_spacing=1000.0,
-            line_velocity=147.0,
-            name="v1",
-        )
-        cfg = ScenarioConfig(
-            v_sp=1250.0, v_mv=1250.0, gamma_col=300.0, t_p=47.5,
-            epsilon=1, delta=3, n_d=68, t_max=12000, back_door_rule=True,
-        )
-    elif name == "v2":
-        spec = SyntheticSpec(
-            seed=seed,
-            n_arms_side=4,
-            side_panel_segments=(48, 48, 48, 48),
-            hood_segments=40,
-            back_door_segments=28,
-            arm_spacing=1000.0,
-            line_velocity=147.0,
-            name="v2",
-        )
-        cfg = ScenarioConfig(
-            v_sp=1250.0, v_mv=1250.0, gamma_col=300.0, t_p=47.5,
-            epsilon=1, delta=3, n_d=68, t_max=12000, back_door_rule=True,
-        )
-    elif name == "v3":
-        spec = SyntheticSpec(
-            seed=seed,
-            n_arms_side=3,
-            side_panel_segments=(38, 38, 38, 38),
-            hood_segments=26,
-            roof_segments=22,
-            back_door_segments=18,
-            arm_spacing=1000.0,
-            line_velocity=98.0,
-            hood_delay=True,
-            name="v3",
-        )
-        cfg = ScenarioConfig(
-            v_sp=900.0, v_mv=900.0, gamma_col=300.0, t_p=66.0,
-            epsilon=0, delta=5, n_d=58, t_max=15000, back_door_rule=False,
-        )
-    else:
-        raise ValueError(f"unknown preset {name!r} (expected v1, v2, v3 or desk)")
-    return generate_synthetic_scene(spec, cfg)
-
-
-PRESET_NAMES = ("v1", "v2", "v3", "desk")
+    return preset_scene("desk", seed)

@@ -418,6 +418,13 @@ def save_scene(scene: VehicleScene, path) -> None:
 # ---------------------------------------------------------------------------
 # synthetic scene generation
 
+# the fixed synthetic body and arm layout, mm
+BODY_LENGTH = 4500.0
+BODY_WIDTH = 1800.0
+ARM_RADIUS = 2800.0
+ARM_STANDOFF = 1000.0  # arm center to body side, laterally
+ARM_FRONT_X = 1200.0  # x of the first row's arms
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -427,18 +434,12 @@ class SyntheticSpec:
     hood_segments: int = 0
     roof_segments: int = 0
     back_door_segments: int = 0
-    body_length: float = 4500.0
-    body_width: float = 1800.0
     height_min: float = 400.0
     height_max: float = 1600.0
-    arm_radius: float = 2800.0
-    arm_standoff: float = 1000.0
     arm_spacing: float = 1500.0
-    arm_front_x: float = 1200.0
     jitter: float = 4.0
     hood_delay: bool = False
     line_velocity: float = 98.0
-    reference_position: float = 0.0
     name: str = "synthetic"
 
 
@@ -451,102 +452,67 @@ def generate_synthetic_scene(
     if not spec.side_panel_segments or spec.n_arms_side < 1:
         raise ScenarioError("need at least one side panel and one arm per side")
     rng = np.random.default_rng(spec.seed)
-    half_w = spec.body_width / 2.0
-
+    half_w = BODY_WIDTH / 2.0
     panels: list[Panel] = []
     segments: list[PaintSegment] = []
-    pid = 0
-    sid = 0
-    hood_rule = "parallel_with_delay" if spec.hood_delay else "parallel"
 
-    def add_segment(panel_id, a, b, h, side):
-        nonlocal sid
-        sid += 1
-        segments.append(
-            PaintSegment(
-                id=sid,
-                panel_id=panel_id,
-                endpoint_a=tuple(float(v) for v in a),
-                endpoint_b=tuple(float(v) for v in b),
-                height_index=h,
-                side=side,
+    def stack(kind, rule, name, count, first, last, stroke):
+        """Append a panel of count strokes, level h at linspace(first, last)[h - 1]
+        with one jitter draw each; stroke(level, jitter) gives its endpoints.
+        Mirrored panels are the modelled side; the others are center halves
+        expanded by half the body width."""
+        mirror = rule == "mirror"
+        panel = Panel(len(panels) + 1, kind, rule, name, 0.0 if mirror else half_w)
+        panels.append(panel)
+        for h, level in enumerate(np.linspace(first, last, count), start=1):
+            a, b = stroke(level, rng.uniform(-spec.jitter, spec.jitter))
+            segments.append(
+                PaintSegment(
+                    len(segments) + 1, panel.id, tuple(map(float, a)), tuple(map(float, b)), h,
+                    "left" if mirror else "center",
+                )
             )
-        )
 
+    # the rng draws follow this order: hood, sides front to back, roof, back door
     if spec.hood_segments:
-        pid += 1
-        panels.append(Panel(pid, "hood", hood_rule, name="hood", parallel_offset=half_w))
-        x0, x1 = spec.body_length - 1200.0, spec.body_length - 200.0
+        rule = "parallel_with_delay" if spec.hood_delay else "parallel"
         y = spec.height_max - 250.0
-        zs = np.linspace(-half_w + 100.0, -120.0, spec.hood_segments)
-        for h, z in enumerate(zs, start=1):
-            j = rng.uniform(-spec.jitter, spec.jitter)
-            add_segment(pid, (x0, y + j, z), (x1, y + j, z), h, "center")
-
-    n_side = len(spec.side_panel_segments)
-    edges = np.linspace(0.0, spec.body_length, n_side + 1)
-    # panels front to back: panel near the vehicle front first
+        x0, x1 = BODY_LENGTH - 1200.0, BODY_LENGTH - 200.0
+        stack("hood", rule, "hood", spec.hood_segments, -half_w + 100.0, -120.0,
+              lambda z, j: ((x0, y + j, z), (x1, y + j, z)))
+    edges = np.linspace(0.0, BODY_LENGTH, len(spec.side_panel_segments) + 1)
     for i, count in enumerate(spec.side_panel_segments):
-        pid += 1
-        x1 = spec.body_length - edges[i]
-        x0 = spec.body_length - edges[i + 1]
-        panels.append(Panel(pid, "vertical_side", "mirror", name=f"side_{i + 1}"))
-        ys = np.linspace(spec.height_min, spec.height_max, count)
-        for h, y in enumerate(ys, start=1):
-            j = rng.uniform(-spec.jitter, spec.jitter)
-            add_segment(pid, (x0 + 20.0, y + j, -half_w), (x1 - 20.0, y + j, -half_w), h, "left")
-
+        x0, x1 = BODY_LENGTH - edges[i + 1] + 20.0, BODY_LENGTH - edges[i] - 20.0
+        stack("vertical_side", "mirror", f"side_{i + 1}", count, spec.height_min, spec.height_max,
+              lambda y, j: ((x0, y + j, -half_w), (x1, y + j, -half_w)))
     if spec.roof_segments:
-        pid += 1
-        panels.append(Panel(pid, "roof", "parallel", name="roof", parallel_offset=half_w))
-        x0, x1 = spec.body_length * 0.35, spec.body_length * 0.65
         y = spec.height_max + 150.0
-        zs = np.linspace(-half_w + 100.0, -120.0, spec.roof_segments)
-        for h, z in enumerate(zs, start=1):
-            j = rng.uniform(-spec.jitter, spec.jitter)
-            add_segment(pid, (x0, y + j, z), (x1, y + j, z), h, "center")
-
+        x0, x1 = BODY_LENGTH * 0.35, BODY_LENGTH * 0.65
+        stack("roof", "parallel", "roof", spec.roof_segments, -half_w + 100.0, -120.0,
+              lambda z, j: ((x0, y + j, z), (x1, y + j, z)))
     if spec.back_door_segments:
-        pid += 1
-        panels.append(
-            Panel(pid, "back_door", "parallel", name="back_door", parallel_offset=half_w)
-        )
-        ys = np.linspace(spec.height_min + 100.0, spec.height_max - 100.0, spec.back_door_segments)
-        for h, y in enumerate(ys, start=1):
-            j = rng.uniform(-spec.jitter, spec.jitter)
-            add_segment(pid, (30.0, y + j, -half_w + 80.0), (30.0, y + j, -100.0), h, "center")
+        stack("back_door", "parallel", "back_door", spec.back_door_segments,
+              spec.height_min + 100.0, spec.height_max - 100.0,
+              lambda y, j: ((30.0, y + j, -half_w + 80.0), (30.0, y + j, -100.0)))
 
     arms: list[ArmConfig] = []
     y_c = (spec.height_min + spec.height_max) / 2.0
-    z_c = half_w + spec.arm_standoff
+    z_c = half_w + ARM_STANDOFF
     n = spec.n_arms_side
     for r in range(1, n + 1):
-        x_c = spec.arm_front_x + (r - 1) * spec.arm_spacing
-        arms.append(ArmConfig(r, (x_c, y_c, -z_c), spec.arm_radius, r, "left", r + n))
-        arms.append(ArmConfig(r + n, (x_c, y_c, z_c), spec.arm_radius, r, "right", r))
+        x_c = ARM_FRONT_X + (r - 1) * spec.arm_spacing
+        arms.append(ArmConfig(r, (x_c, y_c, -z_c), ARM_RADIUS, r, "left", r + n))
+        arms.append(ArmConfig(r + n, (x_c, y_c, z_c), ARM_RADIUS, r, "right", r))
 
-    line = LineKinematics(
-        velocity=spec.line_velocity,
-        reference_position=spec.reference_position,
-    )
-    cfg = config if config is not None else ScenarioConfig()
     return VehicleScene(
         name=spec.name,
-        front_x=spec.body_length,
+        front_x=BODY_LENGTH,
         panels=tuple(panels),
         segments=tuple(segments),
         arms=tuple(arms),
-        line=line,
-        config=cfg,
+        line=LineKinematics(spec.line_velocity),
+        config=config or ScenarioConfig(),
     )
-
-
-def default_dummy_count(n_segs: int, n_arms_side: int) -> int:
-    """Smallest n_d >= n_segs/2 making n_segs + n_d divisible by n_arms_side."""
-    n_d = (n_segs + 1) // 2
-    while (n_segs + n_d) % n_arms_side:
-        n_d += 1
-    return n_d
 
 
 def with_config(scene: VehicleScene, **kwargs) -> VehicleScene:

@@ -15,7 +15,6 @@ from linepaint.scene import (
     ScenarioConfig,
     SyntheticSpec,
     VERTICAL_KINDS,
-    default_dummy_count,
     generate_synthetic_scene,
 )
 
@@ -157,6 +156,14 @@ def audit_strong_feasible(traj, scene, cfg, assign) -> bool:
 
 # ---------------------------------------------------------------------------
 # random instance generators
+
+
+def default_dummy_count(n_segs: int, n_arms_side: int) -> int:
+    """Smallest n_d >= n_segs/2 making n_segs + n_d divisible by n_arms_side."""
+    n_d = (n_segs + 1) // 2
+    while (n_segs + n_d) % n_arms_side:
+        n_d += 1
+    return n_d
 
 
 def random_contract_scene(seed: int, mirror_only: bool = False):

@@ -1,12 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from linepaint.cli import main
 from linepaint.presets import desk_scene
 from linepaint.scene import load_scene, scene_to_dict
-from linepaint.seeding import base_boundaries, solution_from_boundaries
+from linepaint.seeding import (
+    base_boundaries,
+    build_seed_population,
+    random_population,
+    solution_from_boundaries,
+)
 
 
 def test_make_scene_round_trips(tmp_path):
@@ -53,6 +59,22 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert len(trace) == 1 + 3  # header + generations 0..2
     info = dict(line.split(": ", 1) for line in (out / "run_info.txt").read_text().splitlines()[1:])
     assert int(info["boundary_seeds"]) > 0
+
+
+@pytest.mark.parametrize("seeding", [True, False])
+def test_dump_seeds_writes_the_initial_population(tmp_path, desk, seeding):
+    out = tmp_path / "run"
+    args = ["solve", "--preset", "desk", "--pop", "10", "--gens", "0", "--seed", "0"]
+    main(args + ["--out", str(out), "--dump-seeds"] + ([] if seeding else ["--no-seeding"]))
+    rng = np.random.default_rng(0)
+    if seeding:
+        initial, _ = build_seed_population(desk, 10, rng)
+    else:
+        initial = random_population(desk, 10, rng)
+    seeds = json.loads((out / "seeds.json").read_text())["seeds"]
+    assert seeds == [list(x.genes) for x in initial]
+    # with no generation after it, the best plan is one of generation 0
+    assert json.loads((out / "best_genotype.json").read_text())["genes"] in seeds
 
 
 def test_solve_says_when_no_boundary_seed_fits(tmp_path, capsys):

@@ -22,10 +22,11 @@ from linepaint.scene import (
     ScenarioConfig,
     SyntheticSpec,
     VehicleScene,
-    default_dummy_count,
     generate_synthetic_scene,
     with_config,
 )
+
+from _oracles import default_dummy_count
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from linepaint.scene import (
     ScenarioError,
     SyntheticSpec,
     VehicleScene,
-    default_dummy_count,
     generate_synthetic_scene,
     load_scene,
     save_scene,
@@ -29,6 +28,8 @@ from linepaint.scene import (
 )
 from linepaint.repair import repair_all
 from linepaint.seeding import base_boundaries, solution_from_boundaries
+
+from _oracles import default_dummy_count
 
 
 def _minimal_scene(**overrides):
