@@ -26,7 +26,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +56,7 @@ class SimMetrics:
 class Trajectory:
     """Per-tick table of every arm's head: ``positions`` (n_arms, n_ticks + 1,
     3) in the world frame, mm; ``actions`` (n_arms, n_ticks + 1) of action
-    codes; ``seg_ids`` (n_arms, n_ticks + 1), -1 when not painting; ``homes``
-    (n_arms, 3).
+    codes; ``seg_ids`` (n_arms, n_ticks + 1), -1 when not painting.
 
     Only ``simulate`` builds one.  It keeps the plan's tapes and renders the
     table with ``_render`` on first read, so scoring a plan never builds it."""
@@ -67,10 +66,6 @@ class Trajectory:
         self._t_max = cfg.t_max
         self.arm_ids: tuple[int, ...] = tuple(arm_ids)
         self.mu = cfg.mu
-
-    @property
-    def homes(self) -> np.ndarray:
-        return np.stack([tape.home for tape in self._tapes])
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,12 +215,6 @@ def _move_block(tape: _Tape, target_vehicle, world: _World, step: float) -> None
         tape.move(n, world.at(target_vehicle, tape.t + n) - tape.pos)
 
 
-def _paint_block(tape: _Tape, seg_id, p_start, p_end, world: _World, cfg) -> None:
-    p0 = np.asarray(p_start, dtype=float)
-    d = np.asarray(p_end, dtype=float) - p0
-    tape.drifting(PAINT, seg_id, _stroke_ticks(d, cfg), p0, d, world)
-
-
 def _stroke_ticks(d: np.ndarray, cfg) -> int:
     """Ticks to paint a stroke of extent d at the paint speed."""
     return max(1, math.ceil(float(np.linalg.norm(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
@@ -238,13 +227,14 @@ _KIND_CLASS = {"vertical_side": "side", "hood": "top", "roof": "top", "back_door
 # the planner
 
 
-def _plan_pair(scene, left, right, seg_ids, metrics, world):
-    """Plan one left arm and its mirror partner; fills tapes and metrics."""
+def _plan_pair(scene, left, right, seg_ids, world):
+    """Plan one left arm and its mirror partner, each ending with its move
+    home: their tapes, and whether the horizon cut the plan short.  A
+    segment with no PAINT block on the left tape is unvisited."""
     cfg = scene.config
     windows = scene.windows
     tape_l = _Tape(left.center)
     tape_r = _Tape(right.center)
-    unvisited = 0
     prev_class = None
     step = cfg.v_mv * cfg.mu
     # while in lockstep the partner's state is the exact z-mirror of the
@@ -254,14 +244,11 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
     exhausted = False
     # one episode per run of consecutive segments on the same panel
     for pid, sids in groupby(seg_ids, lambda sid: scene.segment(sid).panel_id):
-        sids = list(sids)
-        if exhausted or tape_l.t >= cfg.t_max:
-            unvisited += len(sids)
+        if tape_l.t >= cfg.t_max:
             exhausted = True
-            continue
+            break
         panel = scene.panel(pid)
         paintable = [s for s in sids if windows[(left.id, s)] is not None]
-        unvisited += len(sids) - len(paintable)
         if not paintable:
             continue
 
@@ -279,9 +266,8 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
         if tape_l.t < win[0]:
             wait = math.ceil(win[0]) - tape_l.t
             if tape_l.t + wait >= cfg.t_max:
-                unvisited += len(paintable)
                 exhausted = True
-                continue
+                break
             tape_l.hold(wait, WAIT)
 
         # episode transform for the expanded side
@@ -328,7 +314,6 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
         replay_from = len(tape_l.actions)
         for idx, sid in enumerate(paintable):
             if tape_l.t >= cfg.t_max:
-                unvisited += len(paintable) - idx
                 exhausted = True
                 break
             seg = scene.segment(sid)
@@ -338,28 +323,19 @@ def _plan_pair(scene, left, right, seg_ids, metrics, world):
                     tape_l.hold(math.ceil(win[0]) - tape_l.t, WAIT)
                 start, end = _choose_endpoints(tape_l.pos, seg, tape_l.t, world)
                 _move_block(tape_l, start, world, step)
-            metrics.paint_start_times[sid] = (tape_l.t + 1) * cfg.mu
-            _paint_block(tape_l, sid, start, end, world, cfg)
+            p0 = np.asarray(start, dtype=float)
+            d = np.asarray(end, dtype=float) - p0
+            tape_l.drifting(PAINT, sid, _stroke_ticks(d, cfg), p0, d, world)
 
         # expanded side replays the episode under the panel transform
         tape_r.replay(tape_l, replay_from, None if mirror else (world.k * delay, 0.0, offset))
 
-    metrics.n_unvisits[left.id] = unvisited
-    metrics.n_unvisits[right.id] = 0
-    metrics.horizon_exhausted = metrics.horizon_exhausted or exhausted
-
-    for arm, tape in ((left, tape_l), (right, tape_r)):
-        if tape.actions:
-            _move_block_fixed(tape, tape.home, step)
-        metrics.t_a[arm.id] = min(tape.t, cfg.t_max) * cfg.mu
-    return tape_l, tape_r
-
-
-def _move_block_fixed(tape: _Tape, target, step: float) -> None:
-    d = np.asarray(target, dtype=float) - tape.pos
-    dist = float(np.linalg.norm(d))
-    if dist > 0.0:
-        tape.move(max(1, math.ceil(dist / step - 1e-12)), d)
+    for tape in (tape_l, tape_r):
+        d = tape.home - tape.pos
+        dist = float(np.linalg.norm(d))
+        if dist > 0.0:
+            tape.move(max(1, math.ceil(dist / step - 1e-12)), d)
+    return tape_l, tape_r, exhausted
 
 
 def _choose_endpoints(pos, seg, t, world: _World):
@@ -415,23 +391,37 @@ def _hold_params(p: np.ndarray) -> list:
 
 def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:
     """Plan trajectories for all arms (both sides) under ``scene.config`` and
-    collect audit metrics."""
+    read the audit metrics off the plan's tapes.  Raises ValueError if a
+    segment id is listed twice or lies outside 1..n_segs."""
     cfg = scene.config
     left_arms = scene.left_arms()
     if len(assign) != len(left_arms):
         raise ValueError(f"expected {len(left_arms)} assignment lists, got {len(assign)}")
-    world = _World(scene, cfg.mu)
-    metrics = SimMetrics()
-
+    assigned = {s for row in assign for s in row}
+    if len(assigned) != sum(map(len, assign)):
+        raise ValueError("segment assigned more than once")
+    unknown = assigned - set(range(1, scene.n_segs + 1))
+    if unknown:
+        raise ValueError(f"unknown segment ids {sorted(unknown)}")
     # segments missing from every assignment list are unvisited by definition
     # (decoded genotypes always cover all ids; audited assignments may not)
-    assigned = {s for row in assign for s in row}
-    missing = scene.n_segs - len(assigned & set(range(1, scene.n_segs + 1)))
+    missing = scene.n_segs - len(assigned)
+    world = _World(scene, cfg.mu)
+    metrics = SimMetrics()
 
     tapes_l, tapes_r, arms_r = [], [], []
     for arm, seg_ids in zip(left_arms, assign):
         partner = scene.arm(arm.mirror_partner)
-        tl, tr = _plan_pair(scene, arm, partner, seg_ids, metrics, world)
+        tl, tr, exhausted = _plan_pair(scene, arm, partner, seg_ids, world)
+        metrics.t_a[arm.id] = min(tl.t, cfg.t_max) * cfg.mu
+        metrics.t_a[partner.id] = min(tr.t, cfg.t_max) * cfg.mu
+        starts = accumulate(tl.params[6::_N_PARAMS], initial=0.0)
+        for action, sid, start in zip(tl.actions, tl.seg_ids, starts):
+            if action == PAINT:
+                metrics.paint_start_times[sid] = (start + 1) * cfg.mu
+        metrics.n_unvisits[arm.id] = len(seg_ids) - tl.actions.count(PAINT)
+        metrics.n_unvisits[partner.id] = 0
+        metrics.horizon_exhausted |= exhausted
         tapes_l.append(tl)
         tapes_r.append(tr)
         arms_r.append(partner)

@@ -63,10 +63,6 @@ class PaintSegment:
     height_index: int
     side: str = "left"
 
-    def length(self) -> float:
-        a, b = self.endpoint_a, self.endpoint_b
-        return math.dist(a, b)
-
 
 @dataclass(frozen=True)
 class Panel:

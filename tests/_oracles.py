@@ -81,7 +81,7 @@ def paint_atomicity_ok(traj) -> bool:
 
 
 def returns_home_ok(traj) -> bool:
-    return bool(np.allclose(traj.positions[:, -1], traj.homes, atol=1e-6))
+    return bool(np.allclose(traj.positions[:, -1], traj.positions[:, 0], atol=1e-6))
 
 
 def mirror_exact(traj, scene) -> bool:

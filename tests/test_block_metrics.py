@@ -246,7 +246,6 @@ def test_table_is_rendered_once_from_the_plan(monkeypatch, desk):
     assert np.array_equal(positions, direct[0])
     assert np.array_equal(actions, direct[1])
     assert np.array_equal(seg_ids, direct[2])
-    assert np.array_equal(traj.homes, positions[:, 0])
     assert len(rendered) == 1
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +122,16 @@ def test_report_round_trips_to_dict(desk):
     d = rep.to_dict()
     assert d["objective"] == rep.objective
     assert d["strong_feasible"] is True
+
+
+@pytest.mark.parametrize(
+    "where, extra",
+    [(0, "first"), (1, "first"), (0, 0), (0, "past_last")],
+    ids=["repeated_in_row", "repeated_across_rows", "zero", "past_last"],
+)
+def test_invalid_segment_ids_raise(desk, where, extra):
+    assign = [list(row) for row in decode(_feasible_solution(desk), desk)]
+    sid = {"first": assign[0][0], "past_last": desk.n_segs + 1}.get(extra, extra)
+    assign[where].append(sid)
+    with pytest.raises(ValueError, match="more than once" if extra == "first" else "unknown"):
+        evaluate_assignment(tuple(map(tuple, assign)), desk)

@@ -10,6 +10,7 @@ from linepaint.evaluation import evaluate_assignment
 from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import (
     PAINT,
+    _plan_pair,
     collision_time,
     never_reachable,
     order_violation_counts,
@@ -25,6 +26,7 @@ from linepaint.scene import (
     ScenarioError,
     SyntheticSpec,
     VehicleScene,
+    _World,
     generate_synthetic_scene,
     with_config,
 )
@@ -34,6 +36,8 @@ from linepaint.seeding import base_boundaries, solution_from_boundaries
 from _oracles import (
     mirror_exact,
     paint_atomicity_ok,
+    random_assignment,
+    random_contract_scene,
     returns_home_ok,
     speed_bound_ok,
 )
@@ -202,7 +206,8 @@ def test_empty_assignment_waits_at_home():
     traj, metrics = simulate(((),), scene)
     assert metrics.t_a[1] == 0.0
     i = traj.arm_ids.index(1)
-    assert np.array_equal(traj.positions[i], np.tile(traj.homes[i], (traj.positions.shape[1], 1)))
+    home = np.tile(scene.arm(1).center, (traj.positions.shape[1], 1))
+    assert np.array_equal(traj.positions[i], home)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +268,8 @@ def test_parallel_with_delay_shifts_start_by_delay_ticks():
     assign = ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11, 12), (13, 14, 15, 16, 17, 18))
     traj, _ = simulate(assign, scene)
     iL, iR = traj.arm_ids.index(1), traj.arm_ids.index(4)
-    stroke = math.ceil(scene.segment(1).length() / (cfg.v_sp * cfg.mu) - 1e-9)
+    seg = scene.segment(1)
+    stroke = math.ceil(math.dist(seg.endpoint_a, seg.endpoint_b) / (cfg.v_sp * cfg.mu) - 1e-9)
     expected = 2 * stroke  # zero configured delay means one back-and-forth stroke
     for sid in (1, 2, 3):
         tl = np.where(traj.seg_ids[iL] == sid)[0][0]
@@ -314,6 +320,49 @@ def test_horizon_exhaustion_is_not_a_crash(desk):
     assert metrics.horizon_exhausted
     assert sum(metrics.n_unvisits.values()) > 0
     assert traj.positions.shape[1] <= 501
+
+
+def _painted_once_or_unvisited(scene, assign):
+    """Every assigned segment is painted once or counted unvisited once.  The
+    painted ones are the PAINT blocks of the left arms' tapes; those that
+    start within the horizon start on their first PAINT tick of the table."""
+    traj, metrics = simulate(assign, scene)
+    assert sum(metrics.n_unvisits.values()) + len(metrics.paint_start_times) == scene.n_segs
+    world = _World(scene, scene.config.mu)
+    on_tapes, in_table = [], {}
+    for arm, segs in zip(scene.left_arms(), assign):
+        tape, _, _ = _plan_pair(scene, arm, scene.arm(arm.mirror_partner), segs, world)
+        on_tapes += [s for a, s in zip(tape.actions, tape.seg_ids) if a == PAINT]
+        row = traj.seg_ids[traj.arm_ids.index(arm.id)]
+        ticks = np.flatnonzero(row >= 1)
+        ids, first = np.unique(row[ticks], return_index=True)
+        in_table.update(zip(ids.tolist(), (ticks[first] * scene.config.mu).tolist()))
+    assert list(metrics.paint_start_times) == on_tapes
+    assert in_table.items() <= metrics.paint_start_times.items()
+    if not metrics.horizon_exhausted:
+        # only segments out of their arm's reach go unpainted
+        windows = scene.windows
+        for arm, segs in zip(scene.left_arms(), assign):
+            never = sum(windows[(arm.id, s)] is None for s in segs)
+            assert metrics.n_unvisits[arm.id] == never
+    return metrics
+
+
+@pytest.mark.parametrize("t_max", [500, 2000, 6000, 12000])
+def test_desk_segments_painted_once_or_unvisited(desk, t_max):
+    scene = with_config(desk, t_max=t_max)
+    metrics = _painted_once_or_unvisited(scene, boundary_assignment(scene))
+    assert metrics.horizon_exhausted == (t_max <= 2000)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("t_max", [300, None])
+def test_contract_segments_painted_once_or_unvisited(seed, t_max):
+    scene = random_contract_scene(seed)
+    if t_max is not None:
+        scene = with_config(scene, t_max=t_max)
+    metrics = _painted_once_or_unvisited(scene, random_assignment(scene, seed))
+    assert metrics.horizon_exhausted == (t_max is not None)
 
 
 def test_rejects_line_faster_than_transit():

@@ -35,7 +35,7 @@ def _plan_digest(name: str, n_plans: int) -> str:
         traj, metrics = simulate(decode(x, scene), scene)
         for f in dataclasses.fields(metrics):
             digest.update(f"{f.name}={_field_text(getattr(metrics, f.name))};".encode())
-        for table in (traj.positions, traj.actions, traj.seg_ids, traj.homes):
+        for table in (traj.positions, traj.actions, traj.seg_ids, traj.positions[:, 0]):
             digest.update(repr((table.dtype.str, table.shape)).encode())
             digest.update(np.ascontiguousarray(table).tobytes())
     return digest.hexdigest()

@@ -340,11 +340,6 @@ def test_default_dummy_count():
             assert n_d >= math.ceil(n_segs / 2)
 
 
-def test_segment_length():
-    seg = PaintSegment(1, 1, (0.0, 0.0, 0.0), (3.0, 4.0, 0.0), 1)
-    assert seg.length() == 5.0
-
-
 def test_left_arms_sorted_by_row(desk):
     rows = [a.row for a in desk.left_arms()]
     assert rows == sorted(rows)
