@@ -1,5 +1,6 @@
-"""Upper-layer genetic algorithm: tournament selection, order crossover,
-swap mutation, repair hook, elitist generational replacement.
+"""Upper-layer genetic algorithm: tournament selection, order crossover of
+every pair, swap mutation, repair hook, and generational replacement that
+keeps the ``ELITES`` best.
 
 Evaluation is a pure function of the genotype, so the population can be
 scored by a worker pool without affecting results; all randomness lives in a
@@ -20,6 +21,8 @@ from .repair import repair_all
 from .scene import ScenarioConfig, VehicleScene, _scene_under
 from .seeding import build_seed_population, random_population
 
+ELITES = 2  # the best individuals carried over unchanged; n_pop >= 2
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -28,8 +31,6 @@ class GaConfig:
     n_t: int = 3
     mutation_rate: float = 0.02
     seed: int = 0
-    elitism_count: int = 2
-    crossover_rate: float = 1.0
     use_seeding: bool = True
     use_repair_bottom_up: bool = True
     use_repair_few_arms: bool = True
@@ -40,16 +41,12 @@ class GaConfig:
             raise ValueError("n_pop must be even and at least 2")
         if self.n_gen < 0:
             raise ValueError("n_gen must not be negative")
-        if not 0 <= self.elitism_count <= self.n_pop:
-            raise ValueError("elitism_count must lie in [0, n_pop]")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.n_t < 2:
             raise ValueError("tournament size must be at least 2")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -192,23 +189,18 @@ def run(
     trace = RunTrace()
     try:
         reports = evaluator.evaluate_all(pop)
-        best_i = min(range(len(pop)), key=lambda i: reports[i].objective)
-        best, best_report = pop[best_i], reports[best_i]
-        _record(trace, 0, pop, reports)
+        best_i = _record(trace, 0, pop, reports)
 
         for g in range(1, ga_cfg.n_gen + 1):
             objectives = [r.objective for r in reports]
             order = sorted(range(len(pop)), key=lambda i: objectives[i])
-            new_pop = [pop[i] for i in order[: ga_cfg.elitism_count]]
+            new_pop = [pop[i] for i in order[:ELITES]]
             while len(new_pop) < ga_cfg.n_pop:
                 p1 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
                 p2 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
-                if rng.random() < ga_cfg.crossover_rate:
-                    cuts = sorted(int(v) for v in rng.integers(1, scene.n_dim + 1, size=2))
-                    c1, c2 = order_crossover(p1, p2, cuts[0], cuts[1])
-                else:
-                    c1, c2 = p1, p2
-                for child in (c1, c2):
+                rng.random()  # read by nothing; every fixed-seed result depends on the draw
+                cuts = sorted(int(v) for v in rng.integers(1, scene.n_dim + 1, size=2))
+                for child in order_crossover(p1, p2, cuts[0], cuts[1]):
                     child = inversion_mutation(child, ga_cfg.mutation_rate, rng)
                     child = repair_all(
                         child,
@@ -220,18 +212,19 @@ def run(
                         new_pop.append(child)
             pop = new_pop
             reports = evaluator.evaluate_all(pop)
-            gen_best = min(range(len(pop)), key=lambda i: reports[i].objective)
-            if reports[gen_best].objective < best_report.objective:
-                best, best_report = pop[gen_best], reports[gen_best]
-            _record(trace, g, pop, reports)
+            # the sort is stable and min keeps the first of equal values, so
+            # the best so far is elite 0 unless a child beats it: the
+            # generation's best is the run's
+            best_i = _record(trace, g, pop, reports)
     finally:
         evaluator.close()
     return GaResult(
-        best=best, report=best_report, trace=trace, n_boundary_seeds=n_boundary, initial=initial
+        pop[best_i], reports[best_i], trace, n_boundary_seeds=n_boundary, initial=initial
     )
 
 
-def _record(trace: RunTrace, g: int, pop, reports) -> None:
+def _record(trace: RunTrace, g: int, pop, reports) -> int:
+    """Append generation g's record; the index of its (first) best."""
     best_i = min(range(len(pop)), key=lambda i: reports[i].objective)
     trace.generations.append(
         GenRecord(
@@ -242,3 +235,4 @@ def _record(trace: RunTrace, g: int, pop, reports) -> None:
             best_genes=pop[best_i].genes,
         )
     )
+    return best_i

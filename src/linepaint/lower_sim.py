@@ -140,8 +140,9 @@ class _Tape:
             self._push(action, -1, n, self.pos.tolist(), _NEG0, _NO_DRIFT, self.pos)
 
     def move(self, n: int, d: np.ndarray) -> None:
-        """n ticks from ``pos`` along d."""
-        self._push(MOVE, -1, n, self.pos.tolist(), d.tolist(), _NO_DRIFT, self.pos + d)
+        """n ticks from ``pos`` along d (nothing when n is 0)."""
+        if n > 0:
+            self._push(MOVE, -1, n, self.pos.tolist(), d.tolist(), _NO_DRIFT, self.pos + d)
 
     def drifting(self, action, seg, n, p0: np.ndarray, d, world: _World) -> None:
         """n ticks from p0 along d (None: at p0) on the drifting body."""
@@ -190,12 +191,15 @@ def _rows(par: np.ndarray, j, i: np.ndarray) -> np.ndarray:
     return out
 
 
-def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int:
-    """Fewest whole ticks to reach the drifting target at <= step mm/tick."""
-    d = world.at(target_vehicle, t0) - pos
+def _intercept(pos, target_vehicle, t0, world: _World, step: float, d=None):
+    """Fewest whole ticks n to reach the drifting target at <= step mm/tick
+    from tick t0, and the move's extent: the displacement tested at t0 + n.
+    d is the displacement at t0, if the caller has it."""
+    if d is None:
+        d = world.at(target_vehicle, t0) - pos
     dd = float(d @ d)
     if dd == 0.0:
-        return 0
+        return 0, d
     k = world.k
     a = k * k - step * step
     b = 2.0 * d[0] * k
@@ -203,16 +207,23 @@ def _intercept_ticks(pos, target_vehicle, t0, world: _World, step: float) -> int
     root = (-b - math.sqrt(disc)) / (2.0 * a)
     n = max(1, math.ceil(root - 1e-12))
     while True:
-        arr = world.at(target_vehicle, t0 + n) - pos
-        if float(arr @ arr) <= (step * n) ** 2 * (1.0 + 1e-12):
-            return n
+        d = world.at(target_vehicle, t0 + n) - pos
+        if float(d @ d) <= (step * n) ** 2 * (1.0 + 1e-12):
+            return n, d
         n += 1
 
 
-def _move_block(tape: _Tape, target_vehicle, world: _World, step: float) -> None:
-    n = _intercept_ticks(tape.pos, target_vehicle, tape.t, world, step)
-    if n > 0:
-        tape.move(n, world.at(target_vehicle, tape.t + n) - tape.pos)
+def _approach(tape: _Tape, seg, world: _World, step: float):
+    """Move the head to the segment's nearer endpoint (endpoint_a on a tie):
+    the stroke's (start, end)."""
+    da = world.at(seg.endpoint_a, tape.t) - tape.pos
+    db = world.at(seg.endpoint_b, tape.t) - tape.pos
+    if float(da @ da) <= float(db @ db):
+        start, end, d = seg.endpoint_a, seg.endpoint_b, da
+    else:
+        start, end, d = seg.endpoint_b, seg.endpoint_a, db
+    tape.move(*_intercept(tape.pos, start, tape.t, world, step, d))
+    return start, end
 
 
 def _stroke_ticks(d: np.ndarray, cfg) -> int:
@@ -273,8 +284,7 @@ def _plan_pair(scene, left, right, seg_ids, world):
         # episode transform for the expanded side
         mirror = panel.expansion_rule == "mirror"
         offset = panel.parallel_offset
-        start, end = _choose_endpoints(tape_l.pos, first, tape_l.t, world)
-        _move_block(tape_l, start, world, step)
+        start, end = _approach(tape_l, first, world, step)
 
         delay = 0
         if panel.expansion_rule == "parallel_with_delay":
@@ -284,34 +294,37 @@ def _plan_pair(scene, left, right, seg_ids, world):
                 delay = 2 * _stroke_ticks(np.subtract(end, start), cfg)
 
         if mirror and lockstep:
-            # partner mirrors the whole entry (reorient, window wait, transit)
-            tape_r.replay(tape_l, entry_from)
+            # the partner replays the whole episode, entry (reorient, window
+            # wait, transit) included, with the strokes below
+            replay_from = entry_from
         else:
             # depart as late as possible: camping on the moving surface while
             # a neighbor is still painting nearby invites collisions
             tape_r.hold(turn, REORIENT)
             target_r = (start[0], start[1], -start[2] if mirror else start[2] + offset)
-            n0 = _intercept_ticks(tape_r.pos, target_r, tape_r.t, world, step)
-            t_start = max(tape_l.t, tape_r.t + n0 - delay)
+            n, d = _intercept(tape_r.pos, target_r, tape_r.t, world, step)
+            t_start = max(tape_l.t, tape_r.t + n - delay)
             t_arr = t_start + delay
-            w = t_arr - tape_r.t - n0
+            # the latest departure w whose move (n, d) still arrives by t_arr;
+            # w = 0 does, by the choice of t_start
+            w = t_arr - tape_r.t - n
             while w > 0:
-                n1 = _intercept_ticks(tape_r.pos, target_r, tape_r.t + w, world, step)
-                if tape_r.t + w + n1 <= t_arr:
+                n_w, d_w = _intercept(tape_r.pos, target_r, tape_r.t + w, world, step)
+                if tape_r.t + w + n_w <= t_arr:
+                    n, d = n_w, d_w
                     break
                 w -= 1
-            tape_r.hold(max(0, w), WAIT)
-            _move_block(tape_r, target_r, world, step)
-            t_start = max(t_start, tape_r.t - delay)
+            tape_r.hold(w, WAIT)
+            tape_r.move(n, d)
             # track the drifting start until sync
-            for tape, p, t_sync in ((tape_l, start, t_start), (tape_r, target_r, t_start + delay)):
+            for tape, p, t_sync in ((tape_l, start, t_start), (tape_r, target_r, t_arr)):
                 if tape.t < t_sync:
                     p0 = np.asarray(p, dtype=float)
                     tape.drifting(MOVE, -1, t_sync - tape.t, p0, None, world)
             lockstep = mirror  # synced mirror episode restores lockstep
+            replay_from = len(tape_l.actions)
 
-        # left arm paints the episode; remember its blocks for the replay
-        replay_from = len(tape_l.actions)
+        # left arm paints the episode
         for idx, sid in enumerate(paintable):
             if tape_l.t >= cfg.t_max:
                 exhausted = True
@@ -321,8 +334,7 @@ def _plan_pair(scene, left, right, seg_ids, world):
                 win = windows[(left.id, sid)]
                 if tape_l.t < win[0]:
                     tape_l.hold(math.ceil(win[0]) - tape_l.t, WAIT)
-                start, end = _choose_endpoints(tape_l.pos, seg, tape_l.t, world)
-                _move_block(tape_l, start, world, step)
+                start, end = _approach(tape_l, seg, world, step)
             p0 = np.asarray(start, dtype=float)
             d = np.asarray(end, dtype=float) - p0
             tape_l.drifting(PAINT, sid, _stroke_ticks(d, cfg), p0, d, world)
@@ -336,14 +348,6 @@ def _plan_pair(scene, left, right, seg_ids, world):
         if dist > 0.0:
             tape.move(max(1, math.ceil(dist / step - 1e-12)), d)
     return tape_l, tape_r, exhausted
-
-
-def _choose_endpoints(pos, seg, t, world: _World):
-    da = world.at(seg.endpoint_a, t) - pos
-    db = world.at(seg.endpoint_b, t) - pos
-    if float(da @ da) <= float(db @ db):
-        return seg.endpoint_a, seg.endpoint_b
-    return seg.endpoint_b, seg.endpoint_a
 
 
 def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,7 +410,7 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
     # segments missing from every assignment list are unvisited by definition
     # (decoded genotypes always cover all ids; audited assignments may not)
     missing = scene.n_segs - len(assigned)
-    world = _World(scene, cfg.mu)
+    world = _World(scene)
     metrics = SimMetrics()
 
     tapes_l, tapes_r, arms_r = [], [], []

@@ -60,18 +60,11 @@ def _draw_view(parts, view: _View, pts_2d, actions, scene, axis_label: str):
         v = pts_2d[i, :, 1]
         xs, ys = view.map(u, v)
         parts.append(_polyline(xs, ys, color, 0.5, dash="2,2"))
-        paint = actions[i] == PAINT
-        # bold overdraw of paint ticks (split into runs)
-        run = None
-        for t, flag in enumerate(paint):
-            if flag and run is None:
-                run = t
-            elif not flag and run is not None:
-                sl = slice(max(run - 1, 0), t)
-                parts.append(_polyline(xs[sl], ys[sl], color, 2.0))
-                run = None
-        if run is not None:
-            sl = slice(max(run - 1, 0), len(paint))
+        # bold overdraw of each run of paint ticks [a, b), joined to the tick
+        # before it
+        edges = np.flatnonzero(np.diff(actions[i] == PAINT, prepend=False, append=False))
+        for a, b in zip(edges[::2], edges[1::2]):
+            sl = slice(max(a - 1, 0), b)
             parts.append(_polyline(xs[sl], ys[sl], color, 2.0))
 
 
@@ -83,7 +76,7 @@ def _project(p, axis_label: str):
 
 def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
     # positions with the line drift removed
-    world = _World(scene, traj.mu)
+    world = _World(scene)
     pts = traj.positions.copy()
     pts[:, :, 0] -= world.offset(np.arange(pts.shape[1], dtype=float))
     keep = np.zeros(pts.shape[1], dtype=bool)

@@ -269,7 +269,7 @@ class VehicleScene:
         """Per (one-side arm id, segment id) under ``self.config``: the tick
         interval during which both world-frame endpoints sit inside the arm's
         sphere, or None if never."""
-        world = _World(self, self.config.mu)
+        world = _World(self)
         k = world.k
         out: dict[tuple[int, int], tuple[float, float] | None] = {}
         for arm in self._left_arms:
@@ -303,8 +303,8 @@ class VehicleScene:
 class _World:
     """Vehicle-frame to world-frame drift helper."""
 
-    def __init__(self, scene: VehicleScene, mu: float):
-        self.k = scene.line.velocity * mu  # drift per tick, mm
+    def __init__(self, scene: VehicleScene):
+        self.k = scene.line.velocity * scene.config.mu  # drift per tick, mm
         self.off0 = scene.line.reference_position - scene.front_x
 
     def offset(self, t):

@@ -92,7 +92,7 @@ _ARMS = (
 def _world(k: float = 0.0, off0: float = 0.0) -> _World:
     """A line that drifts k mm per tick from x offset off0 at tick 0."""
     line = SimpleNamespace(velocity=k, reference_position=off0)
-    return _World(SimpleNamespace(line=line, front_x=0.0), 1.0)
+    return _World(SimpleNamespace(line=line, front_x=0.0, config=SimpleNamespace(mu=1.0)))
 
 
 def _paint(tape, n, d, world=None):

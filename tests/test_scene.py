@@ -55,7 +55,7 @@ def _minimal_scene(**overrides):
 def test_world_translation_exact():
     # velocity 147 mm/s, tick 0.01 s, 100 ticks -> exactly 147 mm of drift
     scene = _minimal_scene(front_x=0.0, line=LineKinematics(velocity=147.0))
-    world = _World(scene, mu=0.01)
+    world = _World(scene)
     p = scene.segment(1).endpoint_a
     a0 = world.at(p, 0)
     a100 = world.at(p, 100)
@@ -68,7 +68,7 @@ def test_world_at_adds_the_drift_bit_for_bit():
     # p + (1, 0, 0) * drift, signed zeros included, on either side of x = 0
     for ref in (-5000.0, 5000.0):
         scene = _minimal_scene(line=LineKinematics(velocity=98.0, reference_position=ref))
-        world = _World(scene, 0.01)
+        world = _World(scene)
         for p in ((1.5, -0.0, 0.0), (-0.0, 0.0, -0.0), (123.25, -7.0, 1e-300)):
             for t in (0, 7, 10**4):
                 drift = np.array([1.0, 0.0, 0.0]) * (world.off0 + world.k * t)
@@ -80,7 +80,7 @@ def test_world_helper_matches_planner_translation(desk):
     # drifted to that tick
     x = solution_from_boundaries(base_boundaries(desk), desk)
     traj, _ = simulate(decode(x, desk), desk)
-    world = _World(desk, desk.config.mu)
+    world = _World(desk)
     checked = 0
     for arm in desk.left_arms():
         row = traj.arm_ids.index(arm.id)
