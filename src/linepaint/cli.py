@@ -51,44 +51,36 @@ def _config_hash(scene: VehicleScene, ga_cfg: ga.GaConfig) -> str:
 
 
 def _load(args) -> VehicleScene:
-    if getattr(args, "scenario", None):
+    if args.scenario:
+        if args.scene_seed is not None:
+            raise ScenarioError("--scene-seed applies to --preset only")
         return load_scene(args.scenario)
-    return preset_scene(args.preset, seed=getattr(args, "scene_seed", 1))
+    return preset_scene(args.preset, seed=1 if args.scene_seed is None else args.scene_seed)
 
 
 def _add_scene_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scenario", help="scenario YAML file")
     g.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
-    p.add_argument("--scene-seed", type=int, default=1, help="preset geometry seed")
+    p.add_argument("--scene-seed", type=int, help="preset geometry seed (default 1)")
 
 
 def _add_ga_args(p):
-    p.add_argument("--seed", type=int, default=0, help="optimizer RNG seed")
     p.add_argument("--pop", type=int, default=100, help="population size")
     p.add_argument("--gens", type=int, default=50, help="number of generations")
     p.add_argument("--workers", type=int, default=1, help="evaluation worker processes")
-    p.add_argument("--tournament", type=int, default=3, help="tournament size")
-    p.add_argument("--mutation-rate", type=float, default=0.02)
-    p.add_argument("--no-seeding", action="store_true", help="random initial population")
-    p.add_argument("--no-repair-bottom-up", action="store_true")
-    p.add_argument("--no-repair-few-arms", action="store_true")
 
 
-def _ga_config(args, **overrides) -> ga.GaConfig:
-    kw = dict(
+def _ga_config(args, seed: int, seeding: bool, bottom_up: bool, few_arms: bool) -> ga.GaConfig:
+    return ga.GaConfig(
         n_pop=args.pop,
         n_gen=args.gens,
-        n_t=args.tournament,
-        mutation_rate=args.mutation_rate,
-        seed=args.seed,
-        use_seeding=not args.no_seeding,
-        use_repair_bottom_up=not args.no_repair_bottom_up,
-        use_repair_few_arms=not args.no_repair_few_arms,
+        seed=seed,
+        use_seeding=seeding,
+        use_repair_bottom_up=bottom_up,
+        use_repair_few_arms=few_arms,
         workers=args.workers,
     )
-    kw.update(overrides)
-    return ga.GaConfig(**kw)
 
 
 def _write_trajectory_csv(path, traj):
@@ -125,7 +117,13 @@ def _write_trace_csv(path, trace):
 
 def cmd_solve(args) -> int:
     scene = _load(args)
-    ga_cfg = _ga_config(args)
+    ga_cfg = _ga_config(
+        args,
+        args.seed,
+        not args.no_seeding,
+        not args.no_repair_bottom_up,
+        not args.no_repair_few_arms,
+    )
     chash = _config_hash(scene, ga_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,16 +241,8 @@ def cmd_ablate(args) -> int:
     rows = []
     curves = []
     for method in methods:
-        seeding, r2, r3 = METHODS[method]
         for seed in seeds:
-            ga_cfg = _ga_config(
-                args,
-                seed=seed,
-                use_seeding=seeding,
-                use_repair_bottom_up=r2,
-                use_repair_few_arms=r3,
-            )
-            result = ga.run(scene, ga_cfg=ga_cfg)
+            result = ga.run(scene, ga_cfg=_ga_config(args, seed, *METHODS[method]))
             feas_gen = next(
                 (r.generation for r in result.trace.generations if r.best_feasible), -1
             )
@@ -297,11 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linepaint",
         description="Hierarchical route planning for multi-arm painting on a moving line.",
     )
+    # no abbreviations: ablate would read `--seed 1` as `--seeds 1`
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the optimizer")
+    p = sub.add_parser("solve", help="run the optimizer", allow_abbrev=False)
     _add_scene_args(p)
     _add_ga_args(p)
+    p.add_argument("--seed", type=int, default=0, help="optimizer RNG seed")
+    p.add_argument("--no-seeding", action="store_true", help="random initial population")
+    p.add_argument("--no-repair-bottom-up", action="store_true")
+    p.add_argument("--no-repair-few-arms", action="store_true")
     p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument(
         "--dump-seeds",
@@ -310,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("audit", help="score a given assignment")
+    p = sub.add_parser("audit", help="score a given assignment", allow_abbrev=False)
     _add_scene_args(p)
     p.add_argument("--assignment", required=True, help="JSON with 'genes' or 'arms'")
     p.add_argument("--out", help="also write the report JSON here")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("ablate", help="method-combination study")
+    p = sub.add_parser("ablate", help="method-combination study", allow_abbrev=False)
     _add_scene_args(p)
     _add_ga_args(p)
     p.add_argument("--methods", default="M1,M2,M3,M4,M5,M6,M7,M8")
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="runs/ablation", help="output directory")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("make-scene", help="write a preset scenario file")
+    p = sub.add_parser("make-scene", help="write a preset scenario file", allow_abbrev=False)
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p.add_argument("--scene-seed", type=int, default=1)
     p.add_argument("--out", required=True)

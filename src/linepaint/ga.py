@@ -22,14 +22,14 @@ from .scene import ScenarioConfig, VehicleScene, _scene_under
 from .seeding import build_seed_population, random_population
 
 ELITES = 2  # the best individuals carried over unchanged; n_pop >= 2
+TOURNAMENT = 3  # draws per tournament
+MUTATION_RATE = 0.02  # chance that a child has two genes swapped
 
 
 @dataclass(frozen=True)
 class GaConfig:
     n_pop: int = 100
     n_gen: int = 50
-    n_t: int = 3
-    mutation_rate: float = 0.02
     seed: int = 0
     use_seeding: bool = True
     use_repair_bottom_up: bool = True
@@ -43,10 +43,6 @@ class GaConfig:
             raise ValueError("n_gen must not be negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.n_t < 2:
-            raise ValueError("tournament size must be at least 2")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -196,12 +192,12 @@ def run(
             order = sorted(range(len(pop)), key=lambda i: objectives[i])
             new_pop = [pop[i] for i in order[:ELITES]]
             while len(new_pop) < ga_cfg.n_pop:
-                p1 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
-                p2 = pop[tournament_select(pop, objectives, ga_cfg.n_t, rng)]
+                p1 = pop[tournament_select(pop, objectives, TOURNAMENT, rng)]
+                p2 = pop[tournament_select(pop, objectives, TOURNAMENT, rng)]
                 rng.random()  # read by nothing; every fixed-seed result depends on the draw
                 cuts = sorted(int(v) for v in rng.integers(1, scene.n_dim + 1, size=2))
                 for child in order_crossover(p1, p2, cuts[0], cuts[1]):
-                    child = inversion_mutation(child, ga_cfg.mutation_rate, rng)
+                    child = inversion_mutation(child, MUTATION_RATE, rng)
                     child = repair_all(
                         child,
                         scene,

@@ -22,22 +22,21 @@ _PRODUCTION = dict(v_sp=1250.0, v_mv=1250.0, t_p=47.5, epsilon=1, delta=3, n_d=6
 _PRESETS = {
     "v1": (
         dict(n_arms_side=4, side_panel_segments=(50,) * 4, hood_segments=40,
-             back_door_segments=28, arm_spacing=1000.0, line_velocity=147.0),
+             back_door_segments=28, line_velocity=147.0),
         _PRODUCTION,
     ),
     "v2": (
         dict(n_arms_side=4, side_panel_segments=(48,) * 4, hood_segments=40,
-             back_door_segments=28, arm_spacing=1000.0, line_velocity=147.0),
+             back_door_segments=28, line_velocity=147.0),
         _PRODUCTION,
     ),
     "v3": (
         dict(n_arms_side=3, side_panel_segments=(38,) * 4, hood_segments=26, roof_segments=22,
-             back_door_segments=18, arm_spacing=1000.0, line_velocity=98.0, hood_delay=True),
+             back_door_segments=18, line_velocity=98.0, hood_delay=True),
         dict(n_d=58, back_door_rule=False),
     ),
     "desk": (
-        dict(n_arms_side=3, side_panel_segments=(12,) * 5, height_min=300.0, height_max=1750.0,
-             arm_spacing=1000.0),
+        dict(n_arms_side=3, side_panel_segments=(12,) * 5, height_min=300.0, height_max=1750.0),
         dict(t_max=12000, back_door_rule=False),
     ),
 }

@@ -420,6 +420,7 @@ BODY_WIDTH = 1800.0
 ARM_RADIUS = 2800.0
 ARM_STANDOFF = 1000.0  # arm center to body side, laterally
 ARM_FRONT_X = 1200.0  # x of the first row's arms
+ARM_SPACING = 1000.0  # x from one row of arms to the next
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,6 @@ class SyntheticSpec:
     back_door_segments: int = 0
     height_min: float = 400.0
     height_max: float = 1600.0
-    arm_spacing: float = 1500.0
     jitter: float = 4.0
     hood_delay: bool = False
     line_velocity: float = 98.0
@@ -496,7 +496,7 @@ def generate_synthetic_scene(
     z_c = half_w + ARM_STANDOFF
     n = spec.n_arms_side
     for r in range(1, n + 1):
-        x_c = ARM_FRONT_X + (r - 1) * spec.arm_spacing
+        x_c = ARM_FRONT_X + (r - 1) * ARM_SPACING
         arms.append(ArmConfig(r, (x_c, y_c, -z_c), ARM_RADIUS, r, "left", r + n))
         arms.append(ArmConfig(r + n, (x_c, y_c, z_c), ARM_RADIUS, r, "right", r))
 

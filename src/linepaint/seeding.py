@@ -45,9 +45,7 @@ def solution_from_boundaries(bounds: tuple[int, ...], scene: VehicleScene) -> Up
     n_arms = scene.n_arms_side
     ref_count, stack = _reference_stack_size(scene)
     cuts = (0, *bounds, stack)
-    if list(cuts) != sorted(set(cuts)):
-        return None
-    if any(h < 1 or h > stack - 1 for h in bounds):
+    if list(cuts) != sorted(set(cuts)):  # strictly increasing: each bound in 1..stack - 1
         return None
 
     per_arm: list[list[int]] = [[] for _ in range(n_arms)]
@@ -68,7 +66,10 @@ def solution_from_boundaries(bounds: tuple[int, ...], scene: VehicleScene) -> Up
 
 
 def enumerate_boundary_sets(scene: VehicleScene, limit: int) -> list[tuple[int, ...]]:
-    """Base set first, then the depth-first +-1..+-delta shift enumeration."""
+    """Base set first, then the depth-first +-1..+-delta shift enumeration;
+    none on a scene without a vertical side panel to cut."""
+    if not any(p.kind == "vertical_side" for p in scene.panels):
+        return []
     delta = scene.config.delta
     base = base_boundaries(scene)
     _, stack = _reference_stack_size(scene)

@@ -180,7 +180,6 @@ def random_contract_scene(seed: int, mirror_only: bool = False):
         hood_delay=bool(hood and rng.random() < 0.5),
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
         jitter=float(rng.uniform(0.0, 6.0)),
     )
     n_segs = sum(counts) + hood
@@ -205,7 +204,6 @@ def random_tiny_scene(seed: int):
         side_panel_segments=tuple(counts),
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
         jitter=float(rng.uniform(0.0, 6.0)),
     )
     n_segs = sum(counts)

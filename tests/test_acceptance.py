@@ -118,7 +118,6 @@ def test_criterion_2_block_repair_exactness(verdict):
         side_panel_segments=(16, 5),
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     scene = generate_synthetic_scene(spec, ScenarioConfig(n_d=9, back_door_rule=False))
     width = (scene.n_segs + scene.config.n_d) // 3

@@ -6,7 +6,7 @@ import yaml
 
 from linepaint.cli import main
 from linepaint.presets import desk_scene
-from linepaint.scene import load_scene, scene_to_dict
+from linepaint.scene import load_scene, save_scene, scene_to_dict
 from linepaint.seeding import (
     base_boundaries,
     build_seed_population,
@@ -80,6 +80,16 @@ def test_dump_seeds_writes_the_initial_population(tmp_path, desk, seeding):
 def test_solve_says_when_no_boundary_seed_fits(tmp_path, capsys):
     out = tmp_path / "run"
     main(["solve", "--preset", "v3", "--pop", "4", "--gens", "0", "--out", str(out)])
+    assert "no boundary set fits" in capsys.readouterr().out
+    assert "boundary_seeds: 0\n" in (out / "run_info.txt").read_text()
+
+
+def test_solve_seeds_nothing_on_a_scene_without_a_side_panel(tmp_path, hood_only, capsys):
+    scenario = tmp_path / "hood.yaml"
+    save_scene(hood_only, scenario)
+    out = tmp_path / "run"
+    args = ["solve", "--scenario", str(scenario), "--pop", "6", "--gens", "1", "--out", str(out)]
+    assert main(args) in (0, 1)
     assert "no boundary set fits" in capsys.readouterr().out
     assert "boundary_seeds: 0\n" in (out / "run_info.txt").read_text()
 
@@ -186,13 +196,65 @@ def test_impossible_ga_config_exits_two(tmp_path, option, value):
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """main's return value, or the exit code of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("solve", ["--tournament", "3"]),
+        ("solve", ["--mutation-rate", "0.1"]),
+        ("ablate", ["--seed", "1"]),
+        ("ablate", ["--no-seeding"]),
+        ("ablate", ["--no-repair-bottom-up"]),
+        ("ablate", ["--no-repair-few-arms"]),
+    ],
+)
+def test_option_that_would_not_change_the_run_exits_two(tmp_path, command, option):
+    # ablate takes its seeds from --seeds and its operators from --methods;
+    # `--seed` is no abbreviation of `--seeds`
+    out = tmp_path / "run"
+    args = [command, "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(out)]
+    if command == "ablate":
+        args += ["--methods", "M1", "--seeds", "0"]
+    assert _exit_code(args + option) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "solve"])
+def test_scene_seed_with_a_scenario_file_exits_two(tmp_path, desk, command):
+    scenario = tmp_path / "scene.yaml"
+    save_scene(desk, scenario)
+    assignment = tmp_path / "assignment.json"
+    x = solution_from_boundaries(base_boundaries(desk), desk)
+    assignment.write_text(json.dumps({"genes": list(x.genes)}))
+    out = tmp_path / "run"
+    args = [command, "--scenario", str(scenario), "--scene-seed", "2"]
+    if command == "audit":
+        args += ["--assignment", str(assignment)]
+    else:
+        args += ["--pop", "4", "--gens", "0", "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+def test_scene_seed_picks_the_preset_geometry(tmp_path):
+    out = tmp_path / "run"
+    args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(out)]
+    main(args + ["--scene-seed", "2"])
+    assert load_scene(out / "scenario.yaml") == desk_scene(2) != desk_scene(1)
+
+
 def test_audit_matches_solver_pipeline(tmp_path, desk):
     x = solution_from_boundaries(base_boundaries(desk), desk)
     path = tmp_path / "assignment.json"
     path.write_text(json.dumps({"format_version": 1, "genes": list(x.genes)}))
     scenario = tmp_path / "scene.yaml"
-    from linepaint.scene import save_scene
-
     save_scene(desk, scenario)
     report_path = tmp_path / "report.json"
     code = main(

@@ -89,8 +89,6 @@ def test_mutation_swaps_two_distinct_positions():
 def test_ga_config_validation():
     for bad in (
         dict(n_pop=7),
-        dict(n_t=1),
-        dict(mutation_rate=1.5),
         dict(n_pop=0),
         dict(n_pop=-2),
         dict(n_gen=-1),
@@ -138,6 +136,17 @@ def test_trace_monotone_with_elitism(small_desk):
     assert ties and all(g2.best_genes == g1.best_genes for g1, g2 in ties)
     assert res.best.genes == gens[-1].best_genes
     assert res.report.objective == gens[-1].best_objective
+
+
+def test_seeding_without_a_side_panel_draws_the_random_fill(hood_only):
+    # no boundary set exists, so the seeded run draws the same random
+    # population as an unseeded one, and everything after it is the same
+    seeded = run(hood_only, ga_cfg=GaConfig(n_pop=6, n_gen=2, seed=3))
+    unseeded = run(hood_only, ga_cfg=GaConfig(n_pop=6, n_gen=2, seed=3, use_seeding=False))
+    assert seeded.n_boundary_seeds == 0
+    assert seeded.initial == unseeded.initial
+    assert seeded.best == unseeded.best
+    assert seeded.trace == unseeded.trace
 
 
 def test_workers_do_not_change_results(small_desk):

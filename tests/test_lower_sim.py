@@ -246,7 +246,6 @@ def _hood_scene(hood_delay):
         hood_delay=hood_delay,
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     return generate_synthetic_scene(
         spec, ScenarioConfig(n_d=9, t_max=20000, back_door_rule=False)

@@ -39,7 +39,6 @@ def block_scene():
         side_panel_segments=(16, 5),
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     return generate_synthetic_scene(spec, ScenarioConfig(n_d=9, back_door_rule=False))
 
@@ -172,7 +171,6 @@ def two_panel_scene():
         side_panel_segments=(3, 3),
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     return generate_synthetic_scene(spec, ScenarioConfig(n_d=2, back_door_rule=False))
 
@@ -269,7 +267,6 @@ def _back_door_scene():
         back_door_segments=2,
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     return generate_synthetic_scene(spec, ScenarioConfig(n_d=4, t_max=20000))
 

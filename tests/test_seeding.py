@@ -21,7 +21,6 @@ def _scene(counts, n_arms=3, roof=0, delta=5, n_d=None):
         roof_segments=roof,
         height_min=300.0,
         height_max=1750.0,
-        arm_spacing=1000.0,
     )
     n_segs = sum(counts) + roof
     if n_d is None:
