@@ -30,6 +30,7 @@ from .lower_sim import ACTION_NAMES, simulate
 from .presets import PRESET_NAMES, preset_scene
 from .render import save_svg
 from .scene import ScenarioError, VehicleScene, _YamlDumper, load_scene, save_scene, scene_to_dict
+from .seeding import enumerate_boundary_sets
 
 # ablation method ids -> (seeding, bottom-up repair, few-arms repair)
 METHODS = {
@@ -152,7 +153,7 @@ def cmd_solve(args) -> int:
         )
     )
     (out / "report.json").write_text(
-        json.dumps({"config_hash": chash, "seed": ga_cfg.seed, **report.to_dict()}, indent=2)
+        json.dumps({"config_hash": chash, "seed": ga_cfg.seed, **asdict(report)}, indent=2)
     )
     _write_trajectory_csv(out / "trajectory.csv", traj)
     _write_trace_csv(out / "trace.csv", result.trace)
@@ -180,7 +181,12 @@ def cmd_solve(args) -> int:
         f"outputs in {out}"
     )
     if ga_cfg.use_seeding and not result.n_boundary_seeds:
-        print("note: no boundary set fits the arms' slots; the initial population is all random")
+        why = (
+            "no boundary set fits the arms' slots"
+            if enumerate_boundary_sets(scene, 1)
+            else "the scene has no vertical side panel to cut"
+        )
+        print(f"note: {why}; the initial population is all random")
     for note in report.weak_notes:
         print(f"note: {note}")
     return 0 if report.strong_feasible else 1
@@ -221,7 +227,7 @@ def cmd_audit(args) -> int:
         raise ScenarioError(f"malformed assignment document: {exc}") from exc
 
     report, _ = evaluate_assignment(assign, scene)
-    payload = report.to_dict()
+    payload = asdict(report)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
@@ -235,32 +241,31 @@ def cmd_ablate(args) -> int:
         if m not in METHODS:
             raise ScenarioError(f"unknown method {m!r} (expected M1..M8)")
     seeds = [int(s) for s in args.seeds.split(",")]
+    # every GaConfig checks itself before the output directory is made
+    runs = [(m, s, _ga_config(args, s, *METHODS[m])) for m in methods for s in seeds]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     curves = []
-    for method in methods:
-        for seed in seeds:
-            result = ga.run(scene, ga_cfg=_ga_config(args, seed, *METHODS[method]))
-            feas_gen = next(
-                (r.generation for r in result.trace.generations if r.best_feasible), -1
-            )
-            rows.append(
-                {
-                    "method": method,
-                    "seed": seed,
-                    "feasible_generation": feas_gen,
-                    "final_objective": result.report.objective,
-                    "final_feasible": int(result.report.strong_feasible),
-                }
-            )
-            for rec in result.trace.generations:
-                curves.append((method, seed, rec.generation, rec.best_objective))
-            print(
-                f"{method} seed={seed}: objective {result.report.objective:.3f}, "
-                f"feasible at gen {feas_gen}"
-            )
+    for method, seed, ga_cfg in runs:
+        result = ga.run(scene, ga_cfg=ga_cfg)
+        feas_gen = next((r.generation for r in result.trace.generations if r.best_feasible), -1)
+        rows.append(
+            {
+                "method": method,
+                "seed": seed,
+                "feasible_generation": feas_gen,
+                "final_objective": result.report.objective,
+                "final_feasible": int(result.report.strong_feasible),
+            }
+        )
+        for rec in result.trace.generations:
+            curves.append((method, seed, rec.generation, rec.best_objective))
+        print(
+            f"{method} seed={seed}: objective {result.report.objective:.3f}, "
+            f"feasible at gen {feas_gen}"
+        )
 
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))

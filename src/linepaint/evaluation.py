@@ -9,7 +9,7 @@ penalized.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .genotype import ArmAssignment, UpperSolution, decode
 from .lower_sim import SimMetrics, simulate
@@ -30,9 +30,6 @@ class EvaluationReport:
     t_out: dict[int, float] = field(default_factory=dict)
     n_unvisits: dict[int, int] = field(default_factory=dict)
     t_col: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def range_penalty(metrics: SimMetrics, cfg: ScenarioConfig) -> float:

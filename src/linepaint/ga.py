@@ -191,6 +191,7 @@ def run(
             objectives = [r.objective for r in reports]
             order = sorted(range(len(pop)), key=lambda i: objectives[i])
             new_pop = [pop[i] for i in order[:ELITES]]
+            # n_pop and ELITES are even and children come in pairs: no child is left over
             while len(new_pop) < ga_cfg.n_pop:
                 p1 = pop[tournament_select(pop, objectives, TOURNAMENT, rng)]
                 p2 = pop[tournament_select(pop, objectives, TOURNAMENT, rng)]
@@ -204,8 +205,7 @@ def run(
                         use_bottom_up=ga_cfg.use_repair_bottom_up,
                         use_few_arms=ga_cfg.use_repair_few_arms,
                     )
-                    if len(new_pop) < ga_cfg.n_pop:
-                        new_pop.append(child)
+                    new_pop.append(child)
             pop = new_pop
             reports = evaluator.evaluate_all(pop)
             # the sort is stable and min keeps the first of equal values, so

@@ -51,7 +51,3 @@ def preset_scene(name: str, seed: int = 1) -> VehicleScene:
     return generate_synthetic_scene(
         SyntheticSpec(seed=seed, name=name, **spec), ScenarioConfig(**config)
     )
-
-
-def desk_scene(seed: int = 1) -> VehicleScene:
-    return preset_scene("desk", seed)

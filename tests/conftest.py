@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import pytest
 
-from linepaint.presets import desk_scene
+from linepaint.presets import preset_scene
 from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene
 
 
 @pytest.fixture(scope="session")
 def desk():
-    return desk_scene(1)
+    return preset_scene("desk", 1)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from linepaint.evaluation import collision_penalty, evaluate, range_penalty
 from linepaint.ga import GaConfig, PopulationEvaluator, order_crossover, inversion_mutation, run
 from linepaint.genotype import UpperSolution, decode, random_solution, validate
 from linepaint.lower_sim import SimMetrics, simulate
-from linepaint.presets import desk_scene
+from linepaint.presets import preset_scene
 from linepaint.repair import repair_all, repair_bottom_up
 from linepaint.scene import ScenarioConfig, SyntheticSpec, generate_synthetic_scene
 
@@ -56,7 +56,7 @@ def verdict(capfd):
 @pytest.fixture(scope="module")
 def desk_ga_runs():
     """Full-method optimizer runs (seeding + all repairs), five seeds."""
-    scene = desk_scene(1)
+    scene = preset_scene("desk", 1)
     out = {}
     for seed in SEEDS:
         t0 = time.perf_counter()
@@ -68,7 +68,7 @@ def desk_ga_runs():
 @pytest.fixture(scope="module")
 def bare_ga_runs():
     """Bare GA: random initialization, block/consolidation repairs off."""
-    scene = desk_scene(1)
+    scene = preset_scene("desk", 1)
     cfgs = {
         seed: GaConfig(
             n_pop=100,
@@ -91,7 +91,7 @@ def _first_feasible_generation(result) -> float:
 
 
 def test_criterion_1_permutation_preservation(verdict):
-    scene = desk_scene(1)
+    scene = preset_scene("desk", 1)
     n_dim = scene.n_segs + scene.config.n_d
     rng = np.random.default_rng(2024)
     failures = 0

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from linepaint.cli import main
-from linepaint.presets import desk_scene
+from linepaint.presets import preset_scene
 from linepaint.scene import load_scene, save_scene, scene_to_dict
 from linepaint.seeding import (
     base_boundaries,
@@ -18,7 +18,7 @@ from linepaint.seeding import (
 def test_make_scene_round_trips(tmp_path):
     out = tmp_path / "desk.yaml"
     assert main(["make-scene", "--preset", "desk", "--out", str(out)]) == 0
-    assert load_scene(out) == desk_scene(1)
+    assert load_scene(out) == preset_scene("desk", 1)
 
 
 def test_solve_writes_artifacts_and_exits_zero(tmp_path):
@@ -90,7 +90,7 @@ def test_solve_seeds_nothing_on_a_scene_without_a_side_panel(tmp_path, hood_only
     out = tmp_path / "run"
     args = ["solve", "--scenario", str(scenario), "--pop", "6", "--gens", "1", "--out", str(out)]
     assert main(args) in (0, 1)
-    assert "no boundary set fits" in capsys.readouterr().out
+    assert "note: the scene has no vertical side panel to cut" in capsys.readouterr().out
     assert "boundary_seeds: 0\n" in (out / "run_info.txt").read_text()
 
 
@@ -186,12 +186,18 @@ def test_invalid_config_value_exits_two(tmp_path, desk, key, value):
     assert not out.exists()
 
 
+_IMPOSSIBLE = [("--pop", "-2"), ("--pop", "0"), ("--gens", "-1"), ("--workers", "0")]
+
+
 @pytest.mark.parametrize(
-    "option, value", [("--pop", "-2"), ("--pop", "0"), ("--gens", "-1"), ("--workers", "0")]
+    "command, option, value",
+    [pytest.param("solve", o, v, id=f"{o}-{v}") for o, v in _IMPOSSIBLE]
+    + [pytest.param("ablate", o, v, id=f"ablate-{o}-{v}") for o, v in _IMPOSSIBLE],
 )
-def test_impossible_ga_config_exits_two(tmp_path, option, value):
+def test_impossible_ga_config_exits_two(tmp_path, command, option, value):
     out = tmp_path / "run"
-    args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "3", "--out", str(out)]
+    runs = ["--methods", "M1", "--seeds", "0"] if command == "ablate" else []
+    args = [command, "--preset", "desk", *runs, "--pop", "4", "--gens", "3", "--out", str(out)]
     assert main(args + [option, value]) == 2
     assert not out.exists()
 
@@ -247,7 +253,7 @@ def test_scene_seed_picks_the_preset_geometry(tmp_path):
     out = tmp_path / "run"
     args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(out)]
     main(args + ["--scene-seed", "2"])
-    assert load_scene(out / "scenario.yaml") == desk_scene(2) != desk_scene(1)
+    assert load_scene(out / "scenario.yaml") == preset_scene("desk", 2) != preset_scene("desk", 1)
 
 
 def test_audit_matches_solver_pipeline(tmp_path, desk):
@@ -277,7 +283,7 @@ def test_audit_matches_solver_pipeline(tmp_path, desk):
 
 
 def test_audit_arms_format_and_inverted_order(tmp_path):
-    scene = desk_scene(1)
+    scene = preset_scene("desk", 1)
     # reversed panel order on panel 1 -> at least one order violation
     arms = {
         "1": list(range(12, 0, -1)) + list(range(13, 21)),

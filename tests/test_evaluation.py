@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +121,7 @@ def test_weak_notes_report_shared_panels(desk):
 
 def test_report_round_trips_to_dict(desk):
     rep = evaluate(_feasible_solution(desk), desk)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["objective"] == rep.objective
     assert d["strong_feasible"] is True
 

@@ -14,7 +14,7 @@ from linepaint.ga import (
     tournament_select,
 )
 from linepaint.genotype import UpperSolution, random_solution, validate
-from linepaint.presets import desk_scene
+from linepaint.presets import preset_scene
 from linepaint.scene import VehicleScene
 
 
@@ -101,7 +101,7 @@ def test_ga_config_validation():
 
 @pytest.fixture(scope="module")
 def small_desk():
-    return desk_scene(1)
+    return preset_scene("desk", 1)
 
 
 def _tiny(seed=0, **kw):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from linepaint.presets import PRESET_NAMES, desk_scene, preset_scene
+from linepaint.presets import PRESET_NAMES, preset_scene
 from linepaint.scene import scene_to_dict
 
 _DIGESTS = {
@@ -35,6 +35,5 @@ def test_preset_geometry_is_pinned(name, seed):
 def test_preset_names_and_desk():
     # the CLI offers the presets in this order
     assert PRESET_NAMES == ("v1", "v2", "v3", "desk")
-    assert desk_scene(2) == preset_scene("desk", 2)
     with pytest.raises(ValueError, match="unknown preset 'v4'"):
         preset_scene("v4")

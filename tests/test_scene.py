@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -148,7 +148,7 @@ def test_yaml_ints_load_as_ints_and_score_like_floats(tmp_path, desk):
         genotypes.append(repair_all(x, desk))
     for x in genotypes:
         assert repair_all(x, ints) == repair_all(x, desk)
-        a, b = (evaluate_assignment(decode(x, s), s)[0].to_dict() for s in (desk, ints))
+        a, b = (asdict(evaluate_assignment(decode(x, s), s)[0]) for s in (desk, ints))
         assert _hex(a) == _hex(b)
 
 
