@@ -18,6 +18,8 @@ A plan is a tape of phase blocks per arm, each affine in its tick index and
 kept as its parameters, never as per-tick rows: ``simulate`` scores
 out-of-range and collision time from them, and the per-tick table
 (``Trajectory``) is rendered from them only when it is read.
+
+The planner computes in Python floats; the table and the metrics use numpy.
 """
 
 from __future__ import annotations
@@ -108,10 +110,17 @@ def never_reachable(scene: VehicleScene):
 # partner does not replay (mz = 1, add = -0) need no case of their own.
 
 _NEG0 = (-0.0, -0.0, -0.0)
-_MIRROR_Z = (1.0, 1.0, -1.0)
 _NO_DRIFT = (-0.0, -0.0, 0.0)  # off, k, t0
 _NO_POST = (1.0, *_NEG0)  # mz, add
 _N_PARAMS = 14
+
+
+def _sub(a, b) -> tuple[float, float, float]:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _sq(d) -> float:
+    return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]  # fixed order, unlike a BLAS kernel
 
 
 class _Tape:
@@ -121,35 +130,34 @@ class _Tape:
     __slots__ = ("home", "actions", "seg_ids", "params", "t", "pos")
 
     def __init__(self, home):
-        self.home = np.asarray(home, dtype=float)
+        self.home = tuple(map(float, home))
         self.actions = array("b")
         self.seg_ids = array("i")
         self.params = array("d")
         self.t = 0
-        self.pos = self.home.copy()
+        self.pos = self.home
 
-    def _push(self, action, seg, n, p0, d, drift, last) -> None:
+    def _push(self, action, seg, n, p0, d, drift=_NO_DRIFT) -> None:
+        """Append a block; ``pos`` is its row i = n, since d * (n / n) is d."""
+        off, k, t0 = drift
         self.actions.append(action)
         self.seg_ids.append(seg)
         self.params.extend((*p0, *d, n, *drift, *_NO_POST))
         self.t += n
-        self.pos = last
+        self.pos = (p0[0] + d[0] + (off + k * (t0 + n)), p0[1] + d[1], p0[2] + d[2])
 
     def hold(self, n: int, action: int = WAIT) -> None:
         if n > 0:
-            self._push(action, -1, n, self.pos.tolist(), _NEG0, _NO_DRIFT, self.pos)
+            self._push(action, -1, n, self.pos, _NEG0)
 
-    def move(self, n: int, d: np.ndarray) -> None:
+    def move(self, n: int, d) -> None:
         """n ticks from ``pos`` along d (nothing when n is 0)."""
         if n > 0:
-            self._push(MOVE, -1, n, self.pos.tolist(), d.tolist(), _NO_DRIFT, self.pos + d)
+            self._push(MOVE, -1, n, self.pos, d)
 
-    def drifting(self, action, seg, n, p0: np.ndarray, d, world: _World) -> None:
-        """n ticks from p0 along d (None: at p0) on the drifting body."""
-        last = p0.copy() if d is None else p0 + d
-        last[0] += world.offset(self.t + n)
-        d = _NEG0 if d is None else d.tolist()
-        self._push(action, seg, n, p0.tolist(), d, (world.off0, world.k, self.t), last)
+    def drifting(self, action, seg, n, p0, d, world: _World) -> None:
+        """n ticks from p0 along d on the drifting body."""
+        self._push(action, seg, n, p0, d, (world.off0, world.k, self.t))
 
     def replay(self, src: _Tape, first: int, shift=None) -> None:
         """src's blocks from index ``first`` on, z-mirrored (shift None) or
@@ -164,7 +172,8 @@ class _Tape:
         self.actions += src.actions[first:]
         self.seg_ids += src.seg_ids[first:]
         self.t += int(sum(tail[6::_N_PARAMS]))
-        self.pos = src.pos * _MIRROR_Z if shift is None else src.pos + shift
+        x, y, z = src.pos
+        self.pos = (x, y, -z) if shift is None else (x + shift[0], y + shift[1], z + shift[2])
 
 
 class _Pieces(NamedTuple):
@@ -196,8 +205,8 @@ def _intercept(pos, target_vehicle, t0, world: _World, step: float, d=None):
     from tick t0, and the move's extent: the displacement tested at t0 + n.
     d is the displacement at t0, if the caller has it."""
     if d is None:
-        d = world.at(target_vehicle, t0) - pos
-    dd = float(d @ d)
+        d = _sub(world.at(target_vehicle, t0), pos)
+    dd = _sq(d)
     if dd == 0.0:
         return 0, d
     k = world.k
@@ -207,28 +216,28 @@ def _intercept(pos, target_vehicle, t0, world: _World, step: float, d=None):
     root = (-b - math.sqrt(disc)) / (2.0 * a)
     n = max(1, math.ceil(root - 1e-12))
     while True:
-        d = world.at(target_vehicle, t0 + n) - pos
-        if float(d @ d) <= (step * n) ** 2 * (1.0 + 1e-12):
+        d = _sub(world.at(target_vehicle, t0 + n), pos)
+        if _sq(d) <= (step * n) ** 2 * (1.0 + 1e-12):
             return n, d
         n += 1
 
 
 def _approach(tape: _Tape, seg, world: _World, step: float):
     """Move the head to the segment's nearer endpoint (endpoint_a on a tie):
-    the stroke's (start, end)."""
-    da = world.at(seg.endpoint_a, tape.t) - tape.pos
-    db = world.at(seg.endpoint_b, tape.t) - tape.pos
-    if float(da @ da) <= float(db @ db):
+    the stroke's (start, end) as floats."""
+    da = _sub(world.at(seg.endpoint_a, tape.t), tape.pos)
+    db = _sub(world.at(seg.endpoint_b, tape.t), tape.pos)
+    if _sq(da) <= _sq(db):
         start, end, d = seg.endpoint_a, seg.endpoint_b, da
     else:
         start, end, d = seg.endpoint_b, seg.endpoint_a, db
     tape.move(*_intercept(tape.pos, start, tape.t, world, step, d))
-    return start, end
+    return tuple(map(float, start)), tuple(map(float, end))
 
 
-def _stroke_ticks(d: np.ndarray, cfg) -> int:
+def _stroke_ticks(d, cfg) -> int:
     """Ticks to paint a stroke of extent d at the paint speed."""
-    return max(1, math.ceil(float(np.linalg.norm(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
+    return max(1, math.ceil(math.sqrt(_sq(d)) / (cfg.v_sp * cfg.mu) - 1e-9))
 
 
 _KIND_CLASS = {"vertical_side": "side", "hood": "top", "roof": "top", "back_door": "rear"}
@@ -287,11 +296,10 @@ def _plan_pair(scene, left, right, seg_ids, world):
         start, end = _approach(tape_l, first, world, step)
 
         delay = 0
-        if panel.expansion_rule == "parallel_with_delay":
-            if panel.delay > 0:
-                delay = math.ceil(panel.delay / cfg.mu)
-            else:
-                delay = 2 * _stroke_ticks(np.subtract(end, start), cfg)
+        if panel.delay:  # the scene admits one on parallel_with_delay panels only
+            delay = math.ceil(panel.delay / cfg.mu)
+        elif panel.expansion_rule == "parallel_with_delay":
+            delay = 2 * _stroke_ticks(_sub(end, start), cfg)
 
         if mirror and lockstep:
             # the partner replays the whole episode, entry (reorient, window
@@ -319,8 +327,7 @@ def _plan_pair(scene, left, right, seg_ids, world):
             # track the drifting start until sync
             for tape, p, t_sync in ((tape_l, start, t_start), (tape_r, target_r, t_arr)):
                 if tape.t < t_sync:
-                    p0 = np.asarray(p, dtype=float)
-                    tape.drifting(MOVE, -1, t_sync - tape.t, p0, None, world)
+                    tape.drifting(MOVE, -1, t_sync - tape.t, p, _NEG0, world)
             lockstep = mirror  # synced mirror episode restores lockstep
             replay_from = len(tape_l.actions)
 
@@ -335,16 +342,15 @@ def _plan_pair(scene, left, right, seg_ids, world):
                 if tape_l.t < win[0]:
                     tape_l.hold(math.ceil(win[0]) - tape_l.t, WAIT)
                 start, end = _approach(tape_l, seg, world, step)
-            p0 = np.asarray(start, dtype=float)
-            d = np.asarray(end, dtype=float) - p0
-            tape_l.drifting(PAINT, sid, _stroke_ticks(d, cfg), p0, d, world)
+            d = _sub(end, start)
+            tape_l.drifting(PAINT, sid, _stroke_ticks(d, cfg), start, d, world)
 
         # expanded side replays the episode under the panel transform
         tape_r.replay(tape_l, replay_from, None if mirror else (world.k * delay, 0.0, offset))
 
     for tape in (tape_l, tape_r):
-        d = tape.home - tape.pos
-        dist = float(np.linalg.norm(d))
+        d = _sub(tape.home, tape.pos)
+        dist = math.sqrt(_sq(d))
         if dist > 0.0:
             tape.move(max(1, math.ceil(dist / step - 1e-12)), d)
     return tape_l, tape_r, exhausted
@@ -389,8 +395,8 @@ def _pieces(tape: _Tape, t_end: int) -> _Pieces:
     return _Pieces(bounds, actions[:m], seg_ids[:m], par[:m].T.copy())
 
 
-def _hold_params(p: np.ndarray) -> list:
-    return [*p.tolist(), *_NEG0, 1, *_NO_DRIFT, *_NO_POST]
+def _hold_params(p) -> list:
+    return [*p, *_NEG0, 1, *_NO_DRIFT, *_NO_POST]
 
 
 def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:

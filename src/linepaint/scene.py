@@ -155,6 +155,10 @@ class VehicleScene:
                 raise ScenarioError(f"panel {p.id}: vertical_side panels must use the mirror rule")
             if p.kind != "vertical_side" and p.expansion_rule == "mirror":
                 raise ScenarioError(f"panel {p.id}: {p.kind} panels must use parallel expansion")
+            if p.delay < 0 or p.delay and p.expansion_rule != "parallel_with_delay":
+                raise ScenarioError(f"panel {p.id}: delay must be 0, or > 0 on parallel_with_delay")
+            if p.parallel_offset and p.expansion_rule == "mirror":
+                raise ScenarioError(f"panel {p.id}: parallel_offset must be 0 on a mirror panel")
         # segment() looks ids up by position
         if [s.id for s in self.segments] != list(range(1, self.n_segs + 1)):
             raise ScenarioError("segment ids must be 1..n_segs in order")
@@ -311,10 +315,10 @@ class _World:
         """The x shift at tick t (a number or an array of ticks)."""
         return self.off0 + self.k * t
 
-    def at(self, p, t) -> np.ndarray:
+    def at(self, p, t) -> tuple[float, float, float]:
         s = self.offset(t)
         z = 0.0 * s  # the signed zero that p + (1, 0, 0) * s adds to y and z
-        return np.array((p[0] + s, p[1] + z, p[2] + z))
+        return p[0] + s, p[1] + z, p[2] + z
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _world(k: float = 0.0, off0: float = 0.0) -> _World:
 
 def _paint(tape, n, d, world=None):
     """An n-tick stroke from the tape's position along d."""
-    tape.drifting(PAINT, 1, n, tape.pos.copy(), np.asarray(d, dtype=float), world or _world())
+    tape.drifting(PAINT, 1, n, tape.pos, tuple(map(float, d)), world or _world())
 
 
 def _parked(home, n):

@@ -385,6 +385,8 @@ def _audit_edited_desk(tmp_path, desk, keys, value):
         (("arms", 0, "center"), [500.0, 500.0]),
         (("line",), None),
         (("config",), None),
+        # a negative delay, which would be scored as 0
+        (("scene", "panels", 0, "delay"), -1.0),
     ],
 )
 def test_unrepresentable_scenario_exits_two(tmp_path, desk, keys, value, capsys):

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from linepaint import ga
+from linepaint import ga, lower_sim
+from linepaint import scene as scene_module
 from linepaint.evaluation import evaluate_assignment
 from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import (
@@ -33,6 +35,7 @@ from linepaint.scene import (
     generate_synthetic_scene,
     with_config,
 )
+from linepaint.presets import preset_scene
 from linepaint.repair import repair_all
 from linepaint.seeding import base_boundaries, solution_from_boundaries
 
@@ -340,6 +343,11 @@ def test_no_stroke_starts_past_the_horizon(desk):
 # the planner's moves
 
 
+def _bits(p) -> bytes:
+    """A point's exact float bits: == would take -0.0 for 0.0."""
+    return struct.pack("3d", *p)
+
+
 def test_intercept_returns_the_displacement_it_tested(desk):
     world = _World(desk)
     step = desk.config.v_mv * desk.config.mu
@@ -347,19 +355,20 @@ def test_intercept_returns_the_displacement_it_tested(desk):
     for arm in desk.left_arms():
         for seg in desk.segments[::7]:
             for t0 in (0, 333, 4000):
-                n, d = _intercept(np.asarray(arm.center), seg.endpoint_a, t0, world, step)
+                n, d = _intercept(arm.center, seg.endpoint_a, t0, world, step)
                 assert n >= 1
-                assert d.tobytes() == (world.at(seg.endpoint_a, t0 + n) - arm.center).tobytes()
+                at = world.at(seg.endpoint_a, t0 + n)
+                assert _bits(d) == _bits(np.subtract(at, arm.center))
                 # the caller's displacement at t0 changes nothing
-                d0 = world.at(seg.endpoint_a, t0) - arm.center
-                n0, dd0 = _intercept(np.asarray(arm.center), seg.endpoint_a, t0, world, step, d0)
-                assert n0 == n and dd0.tobytes() == d.tobytes()
+                d0 = tuple(p - c for p, c in zip(world.at(seg.endpoint_a, t0), arm.center))
+                n0, dd0 = _intercept(arm.center, seg.endpoint_a, t0, world, step, d0)
+                assert n0 == n and _bits(dd0) == _bits(d)
                 checked += 1
     assert checked > 10
     # a head already on the target needs no move
     pos = world.at(desk.segment(1).endpoint_b, 50)
     n, d = _intercept(pos, desk.segment(1).endpoint_b, 50, world, step)
-    assert n == 0 and not d.any()
+    assert n == 0 and not any(d)
 
 
 def _still_world():
@@ -371,7 +380,7 @@ def test_approach_takes_endpoint_a_on_a_tie():
     seg = SimpleNamespace(endpoint_a=(100.0, 0.0, -50.0), endpoint_b=(100.0, 0.0, 50.0))
     tape = _Tape((0.0, 0.0, 0.0))
     assert _approach(tape, seg, _still_world(), 10.0) == (seg.endpoint_a, seg.endpoint_b)
-    assert tape.pos.tolist() == [100.0, 0.0, -50.0]
+    assert _bits(tape.pos) == _bits((100.0, 0.0, -50.0))
     flipped = SimpleNamespace(endpoint_a=(100.0, 0.0, 60.0), endpoint_b=(100.0, 0.0, -50.0))
     tape = _Tape((0.0, 0.0, 0.0))
     assert _approach(tape, flipped, _still_world(), 10.0) == (flipped.endpoint_b, flipped.endpoint_a)
@@ -382,7 +391,81 @@ def test_approach_adds_no_move_when_already_at_the_start():
     tape = _Tape(seg.endpoint_b)
     assert _approach(tape, seg, _still_world(), 10.0) == (seg.endpoint_b, seg.endpoint_a)
     assert len(tape.actions) == 0 and tape.t == 0
-    assert tape.pos.tolist() == list(seg.endpoint_b)
+    assert _bits(tape.pos) == _bits(seg.endpoint_b)
+
+
+def _pair_tapes(scene, assign):
+    """The bytes of every tape ``_plan_pair`` writes for the assignment."""
+    world = _World(scene)
+    out = []
+    for arm, segs in zip(scene.left_arms(), assign):
+        for tape in _plan_pair(scene, arm, scene.arm(arm.mirror_partner), segs, world)[:2]:
+            out.append((tape.params.tobytes(), tape.actions.tobytes(), tape.seg_ids.tobytes()))
+    return out
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the planner read numpy.{name}")
+
+
+@pytest.mark.parametrize("name", ["desk", "v1", "v3"])
+def test_planner_touches_no_numpy(name, monkeypatch):
+    # the plan is Python float arithmetic in a fixed order, so no numpy
+    # kernel (and no BLAS one) can move a bit of it
+    scene = preset_scene(name)
+    assigns = [
+        decode(repair_all(random_solution(scene.n_dim, np.random.default_rng([41, k])), scene), scene)
+        for k in range(3)
+    ]
+    expected = [_pair_tapes(scene, assign) for assign in assigns]
+    assert scene.windows  # computed before numpy goes
+    monkeypatch.setattr(lower_sim, "np", _NoNumpy())
+    monkeypatch.setattr(scene_module, "np", _NoNumpy())
+    assert [_pair_tapes(scene, assign) for assign in assigns] == expected
+
+
+def _cast_points(scene, cast, mirror_z=None):
+    """The scene with every endpoint and arm center rounded and cast, and the
+    mirror panels' strokes moved to z = mirror_z if it is given."""
+    mirrored = {p.id for p in scene.panels if p.expansion_rule == "mirror"}
+
+    def point(p, z=None):
+        x, y, p_z = (cast(round(v)) for v in p)
+        return x, y, p_z if z is None else cast(z)
+
+    def segment(s):
+        z = mirror_z if s.panel_id in mirrored else None
+        return dataclasses.replace(
+            s, endpoint_a=point(s.endpoint_a, z), endpoint_b=point(s.endpoint_b, z)
+        )
+
+    arms = tuple(dataclasses.replace(a, center=point(a.center)) for a in scene.arms)
+    return dataclasses.replace(scene, segments=tuple(map(segment, scene.segments)), arms=arms)
+
+
+@pytest.mark.parametrize("case", ["desk", "side strokes on z = 0 after a hood"])
+def test_integer_coordinates_plan_like_their_float_twins(desk, case):
+    # a hand-written file may give 4500 for 4500.0: the planner casts where a
+    # point enters, so an int scene plans bit for bit like its float twin.
+    # Desk has no zero coordinate.  On the other scene a side episode that
+    # follows the parallel hood sends the partner to the negated z = 0,
+    # which is -0.0 only for a float.
+    base, mirror_z = (desk, None) if case == "desk" else (_hood_scene(hood_delay=False), 0)
+    ints, floats = (_cast_points(base, cast, mirror_z) for cast in (int, float))
+    points = [*(s.endpoint_a + s.endpoint_b for s in ints.segments), *(a.center for a in ints.arms)]
+    assert all(type(v) is int for p in points for v in p)
+    assert all(v != 0 for p in points for v in p) == (mirror_z is None)
+    assigns = [boundary_assignment(floats)]
+    for k in range(3):
+        x = random_solution(floats.n_dim, np.random.default_rng([43, k]))
+        assigns.append(decode(repair_all(x, floats), floats))
+    for assign in assigns:
+        assert _pair_tapes(ints, assign) == _pair_tapes(floats, assign)
+        (traj_i, m_i), (traj_f, m_f) = simulate(assign, ints), simulate(assign, floats)
+        assert repr(dataclasses.asdict(m_i)) == repr(dataclasses.asdict(m_f))  # repr keeps -0.0
+        for table in ("positions", "actions", "seg_ids"):
+            assert getattr(traj_i, table).tobytes() == getattr(traj_f, table).tobytes()
 
 
 def _painted_once_or_unvisited(scene, assign):

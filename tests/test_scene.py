@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_world_at_adds_the_drift_bit_for_bit():
         for p in ((1.5, -0.0, 0.0), (-0.0, 0.0, -0.0), (123.25, -7.0, 1e-300)):
             for t in (0, 7, 10**4):
                 drift = np.array([1.0, 0.0, 0.0]) * (world.off0 + world.k * t)
-                assert world.at(p, t).tobytes() == (np.asarray(p) + drift).tobytes()
+                assert struct.pack("3d", *world.at(p, t)) == (np.asarray(p) + drift).tobytes()
 
 
 def test_world_helper_matches_planner_translation(desk):
@@ -279,6 +280,33 @@ NON_FINITE_GEOMETRY = {
     "parallel_offset": lambda s, v: replace(s, panels=_first_replaced(s.panels, parallel_offset=v)),
     "delay": lambda s, v: replace(s, panels=_first_replaced(s.panels, delay=v)),
 }
+
+
+# per panel field the planner ignores or misreads when so set: the panel, and
+# the field as its message names it
+IGNORED_PANEL_FIELDS = {
+    "negative delay": (Panel(1, "hood", "parallel_with_delay", delay=-1.0), "delay"),
+    "delay without its rule": (Panel(1, "hood", "parallel", delay=0.5), "delay"),
+    "offset on a mirror panel": (
+        Panel(1, "vertical_side", "mirror", parallel_offset=900.0), "parallel_offset"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_PANEL_FIELDS))
+def test_validation_rejects_panel_fields_the_planner_ignores(case):
+    panel, field = IGNORED_PANEL_FIELDS[case]
+    with pytest.raises(ScenarioError, match=f"panel 1: {field}"):
+        _minimal_scene(panels=(panel,))
+
+
+def test_validation_keeps_the_panel_fields_the_planner_reads():
+    for panel in (
+        Panel(1, "hood", "parallel_with_delay", delay=0.5),
+        Panel(1, "hood", "parallel", parallel_offset=900.0),
+        Panel(1, "hood", "parallel_with_delay", parallel_offset=900.0),
+    ):
+        assert _minimal_scene(panels=(panel,)).panel(1) == panel
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
