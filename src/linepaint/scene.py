@@ -173,12 +173,11 @@ class VehicleScene:
             if [self.segment(i).height_index for i in ids] != list(range(1, len(ids) + 1)):
                 raise ScenarioError(f"panel {pid}: height_index values must be contiguous 1..n")
 
-        left = self._left_arms
-        if not left or sum(a.side == "right" for a in self.arms) != len(left):
-            raise ScenarioError("arms must split evenly between left and right")
         if len(self._arm_by_id) != len(self.arms):
             raise ScenarioError("duplicate arm id")
         for a in self.arms:
+            if a.side not in ("left", "right"):  # an arm on no side would never be planned
+                raise ScenarioError(f"arm {a.id}: side must be left or right, got {a.side!r}")
             if not 0 < a.radius < math.inf:
                 raise ScenarioError(f"arm {a.id}: radius must be positive and finite")
             partner = self._arm_by_id.get(a.mirror_partner)
@@ -186,6 +185,9 @@ class VehicleScene:
                 raise ScenarioError(f"arm {a.id}: invalid mirror partner")
             if partner.mirror_partner != a.id:
                 raise ScenarioError(f"arm {a.id}: mirror pairing is not an involution")
+        left = self._left_arms
+        if not left:  # the pairing above gives each left arm one right partner
+            raise ScenarioError("a scene needs at least one left and one right arm")
         if not 0 < self.line.velocity < math.inf:
             raise ScenarioError("line velocity must be positive and finite")
         cfg = self.config

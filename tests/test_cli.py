@@ -394,6 +394,14 @@ def test_unrepresentable_scenario_exits_two(tmp_path, desk, keys, value, capsys)
     assert "error:" in capsys.readouterr().err
 
 
+def test_arm_on_no_side_exits_two(tmp_path, desk, capsys):
+    arms = scene_to_dict(desk)["arms"]
+    assert [arms[0]["id"], arms[1]["id"]] == [1, 4]  # row 1's pair
+    arms[0]["side"], arms[1]["side"] = "up", "down"
+    assert _audit_edited_desk(tmp_path, desk, ("arms",), arms) == 2
+    assert "arm 1: side must be left or right" in capsys.readouterr().err
+
+
 def test_audit_duplicate_segment_exits_two(tmp_path):
     path = tmp_path / "assignment.json"
     path.write_text(

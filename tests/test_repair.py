@@ -344,3 +344,44 @@ def test_repair_outputs_are_pinned():
     # a changed tie-break or scan order changes the GA's children and fails
     # here; update the digest only with a change that means to change them
     assert _repair_digest(30) == "aaf6cce1baa8acba6bcf4b8250e4c2e123c09984437bb2380977497d9183cad8"
+
+
+def _relabelled(scene):
+    """The scene with arm ids that no longer follow the rows (left arms
+    count down from 100 + arms per side, partners from 201) and an empty
+    vertical panel appended."""
+    n = scene.n_arms_side
+    new = {a.id: (100 + n + 1 - a.row if a.side == "left" else 200 + a.row) for a in scene.arms}
+    arms = tuple(
+        dataclasses.replace(a, id=new[a.id], mirror_partner=new[a.mirror_partner])
+        for a in scene.arms
+    )
+    empty = Panel(max(p.id for p in scene.panels) + 1, "vertical_side", "mirror")
+    return dataclasses.replace(scene, arms=arms, panels=(*scene.panels, empty))
+
+
+@pytest.mark.parametrize("name", ["desk", "v1", "v3"])
+def test_repair_ignores_arm_ids_and_empty_panels(name):
+    # the operators key arms by slot, never by id, and skip panels with no
+    # segments: neither change may alter a child
+    shipped = preset_scene(name, seed=1)
+    short = tuple(dataclasses.replace(a, radius=1000.0 + 200.0 * a.row) for a in shipped.arms)
+    for scene in (
+        shipped,
+        with_config(shipped, back_door_rule=not shipped.config.back_door_rule),
+        dataclasses.replace(shipped, arms=short),
+    ):
+        twin = _relabelled(scene)
+        assert [a.id for a in twin.left_arms()] == list(range(100 + scene.n_arms_side, 100, -1))
+        assert len(never_reachable(twin)) == len(never_reachable(scene))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = random_solution(scene.n_dim, rng)
+            for op in (
+                repair_reachability,
+                repair_back_door,
+                repair_bottom_up,
+                repair_few_arms,
+                repair_all,
+            ):
+                assert op(x, twin) == op(x, scene), op.__name__

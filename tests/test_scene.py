@@ -239,6 +239,15 @@ def test_validation_mirror_pairing():
         _minimal_scene(arms=arms)
 
 
+def test_validation_rejects_an_arm_on_no_side(desk):
+    # arms 1 and 4 are row 1's pair; on "up" and "down" they kept the split
+    # even and were never planned
+    sides = {1: "up", 4: "down"}
+    arms = tuple(replace(a, side=sides.get(a.id, a.side)) for a in desk.arms)
+    with pytest.raises(ScenarioError, match="arm 1: side must be left or right"):
+        replace(desk, arms=arms)
+
+
 def test_validation_side_panel_must_mirror():
     with pytest.raises(ScenarioError):
         _minimal_scene(panels=(Panel(1, "vertical_side", "parallel"),))
