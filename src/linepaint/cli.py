@@ -85,9 +85,10 @@ def _ga_config(args, seed: int, seeding: bool, bottom_up: bool, few_arms: bool) 
 
 
 def _write_trajectory_csv(path, traj):
+    # the rows csv.writer would write: no field needs quoting
+    row = "%d,%d,%.3f,%.3f,%.3f,%s,%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["arm", "tick", "x_mm", "y_mm", "z_mm", "action", "segment"])
+        fh.write("arm,tick,x_mm,y_mm,z_mm,action,segment\r\n")
         n_ticks = traj.positions.shape[1]
         for i, arm_id in enumerate(traj.arm_ids):
             # 1024 ticks at a time: a whole arm's rows as lists take megabytes
@@ -95,9 +96,11 @@ def _write_trajectory_csv(path, traj):
                 ticks = slice(t0, t0 + 1024)
                 positions, actions = traj.positions[i, ticks].tolist(), traj.actions[i, ticks]
                 rows = zip(positions, actions.tolist(), traj.seg_ids[i, ticks].tolist())
-                w.writerows(
-                    [arm_id, t, f"{x:.3f}", f"{y:.3f}", f"{z:.3f}", ACTION_NAMES[action], seg]
-                    for t, ((x, y, z), action, seg) in enumerate(rows, t0)
+                fh.write(
+                    "".join(
+                        row % (arm_id, t, x, y, z, ACTION_NAMES[action], seg)
+                        for t, ((x, y, z), action, seg) in enumerate(rows, t0)
+                    )
                 )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .genotype import ArmAssignment, UpperSolution, decode
-from .lower_sim import SimMetrics, simulate
+from .lower_sim import SimMetrics, simulate, simulate_all
 from .scene import ScenarioConfig, VehicleScene, _scene_under
 
 
@@ -104,6 +104,9 @@ def report_from_metrics(
     )
 
 
-def evaluate(x: UpperSolution, scene: VehicleScene) -> EvaluationReport:
-    report, _ = evaluate_assignment(decode(x, scene), scene)
-    return report
+def evaluate(xs: list[UpperSolution], scene: VehicleScene) -> list[EvaluationReport]:
+    """The report of each genotype; the plans are scored in groups
+    (``lower_sim.simulate_all``), with the same results as one at a time."""
+    assigns = [decode(x, scene) for x in xs]
+    planned = simulate_all(assigns, scene)
+    return [report_from_metrics(m, a, scene) for a, (_, m) in zip(assigns, planned)]

@@ -130,17 +130,21 @@ def _init_worker(scene):
     _worker_scene = scene
 
 
-def _eval_genes(genes):
-    return evaluate(UpperSolution(genes), _worker_scene)
+def _eval_genes(chunk):
+    return evaluate([UpperSolution(g) for g in chunk], _worker_scene)
 
 
 class PopulationEvaluator:
-    """Caches reports by genotype; optional fork-based worker pool."""
+    """Caches reports by genotype; optional fork-based worker pool.  Each
+    call scores its new genotypes in ``evaluate``'s groups; a pool gets
+    them in the chunks ``pool.map`` would cut, four per worker, and each
+    worker scores its chunk the same way."""
 
     def __init__(self, scene: VehicleScene, cfg: ScenarioConfig | None = None, workers: int = 1):
         self.scene = scene = _scene_under(scene, cfg)
         self.cache: dict[tuple[int, ...], EvaluationReport] = {}
         self.pool = None
+        self.workers = workers
         if workers > 1:
             ctx = multiprocessing.get_context("fork")
             self.pool = ctx.Pool(workers, initializer=_init_worker, initargs=(scene,))
@@ -149,9 +153,11 @@ class PopulationEvaluator:
         missing = sorted({x.genes for x in pop if x.genes not in self.cache})
         if missing:
             if self.pool is not None:
-                reports = self.pool.map(_eval_genes, missing)
+                size = -(-len(missing) // (4 * self.workers))
+                chunks = [missing[i : i + size] for i in range(0, len(missing), size)]
+                reports = [r for part in self.pool.map(_eval_genes, chunks, 1) for r in part]
             else:
-                reports = [evaluate(UpperSolution(g), self.scene) for g in missing]
+                reports = evaluate([UpperSolution(g) for g in missing], self.scene)
             self.cache.update(zip(missing, reports))
         return [self.cache[x.genes] for x in pop]
 

@@ -51,9 +51,14 @@ def encode(assign: ArmAssignment, scene: VehicleScene) -> UpperSolution | None:
     return UpperSolution(tuple(genes))
 
 
-def validate(x: UpperSolution) -> str | None:
-    """None when x is a valid permutation of 1..n_dim, else a description."""
+def validate(x: UpperSolution, n_dim: int | None = None) -> str | None:
+    """None when x is a permutation of 1..n_dim (by default of 1..its
+    length), else a description."""
     n = len(x.genes)
+    if n_dim is not None and n != n_dim:
+        return f"genotype has {n} genes, the scene needs {n_dim}"
+    if sorted(x.genes) == list(range(1, n + 1)):
+        return None
     seen: dict[int, int] = {}
     problems = []
     for pos, g in enumerate(x.genes):

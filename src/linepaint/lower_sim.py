@@ -15,9 +15,10 @@ relative to the body surface.  Transit moves are bounded by the transit speed
 in world coordinates.
 
 A plan is a tape of phase blocks per arm, each affine in its tick index and
-kept as its parameters, never as per-tick rows: ``simulate`` scores
-out-of-range and collision time from them, and the per-tick table
-(``Trajectory``) is rendered from them only when it is read.
+kept as its parameters, never as per-tick rows: ``simulate_all`` scores
+out-of-range and collision time from them, a group of plans at a time, and
+the per-tick table (``Trajectory``) is rendered from them only when it is
+read.
 
 The planner computes in Python floats; the table and the metrics use numpy.
 """
@@ -29,7 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,20 @@ class Trajectory:
     @property
     def seg_ids(self) -> np.ndarray:
         return self._table[2]
+
+    def block_ends(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per arm, the table's rows where its pieces end, without the table:
+        the ticks (tick 0 first), the rows there (3, m) and the pieces'
+        actions.  A piece is affine in the tick, so its rows lie on the
+        line from the previous piece's end row to its own."""
+        n = len(self._tapes)
+        t_end = min(self._t_max, max((tape.t for tape in self._tapes), default=0))
+        pieces = _pieces(self._tapes, [t_end] * n)
+        rows = _rows(pieces.par, pieces.length)
+        cut = np.searchsorted(pieces.tape, np.arange(1, n))
+        ticks = pieces.first + pieces.length - 1
+        split = np.split(ticks, cut), np.split(rows, cut, axis=1), np.split(pieces.actions, cut)
+        return list(zip(*split))
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +192,29 @@ class _Tape:
 
 
 class _Pieces(NamedTuple):
-    bounds: np.ndarray  # the tick each piece starts at, then t_end + 1
+    """Tapes laid out tape after tape, each over its ticks 0..t_end."""
+
+    par: np.ndarray  # (14, pieces)
+    first: np.ndarray  # the tick each piece starts at
+    length: np.ndarray  # its ticks up to t_end
+    tape: np.ndarray  # the index of its tape
     actions: np.ndarray
     seg_ids: np.ndarray
-    par: np.ndarray  # (14, pieces)
 
 
-def _rows(par: np.ndarray, j, i: np.ndarray) -> np.ndarray:
-    """Rows (r, 3) of pieces ``j`` of ``par`` (14, pieces) at their local
-    ticks ``i``: ``j`` gathers one piece per row, or is ``slice(None)`` over
-    parameters already repeated per row.
+def _rows(par: np.ndarray, i) -> np.ndarray:
+    """Rows (3, r) of pieces ``par`` (14, r), gathered one per row, at their
+    local ticks ``i``.
 
-    The table and the metrics both come from here.  Elementwise float ops
-    give the same bits at any subset of ticks as over the whole block."""
-    out = np.empty((len(i), 3))
-    rows = out.T
-    np.multiply(par[3:6, j], i / par[6, j], out=rows)
-    rows += par[0:3, j]  # p0 + d * (i / n): float addition commutes
-    rows[0] += par[7, j] + par[8, j] * (par[9, j] + i)
-    rows[2] *= par[10, j]
-    rows += par[11:14, j]
-    return out
+    The table, the plot and the metrics all come from here.  Elementwise
+    float ops give the same bits at any subset of ticks as over the whole
+    block."""
+    rows = par[3:6] * (i / par[6])
+    rows += par[0:3]  # p0 + d * (i / n): float addition commutes
+    rows[0] += par[7] + par[8] * (par[9] + i)
+    rows[2] *= par[10]
+    rows += par[11:14]
+    return rows
 
 
 def _intercept(pos, target_vehicle, t0, world: _World, step: float, d=None):
@@ -360,49 +377,104 @@ def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.
     """The table ``Trajectory`` reads: positions, actions and seg_ids."""
     t_end = min(t_max, max((tape.t for tape in tapes), default=0))
     n = len(tapes)
+    pieces = _pieces(tapes, [t_end] * n)
+    length = pieces.length
+    act = np.repeat(pieces.actions, length).reshape(n, t_end + 1)
+    seg = np.repeat(pieces.seg_ids, length).reshape(n, t_end + 1)
     pos = np.empty((n, t_end + 1, 3))
-    act = np.empty((n, t_end + 1), dtype=np.int8)
-    seg = np.empty((n, t_end + 1), dtype=np.int32)
     ticks = np.arange(t_end + 1)
-    for a, tape in enumerate(tapes):
-        pieces = _pieces(tape, t_end)
-        length = np.diff(pieces.bounds)
-        act[a] = np.repeat(pieces.actions, length)
-        seg[a] = np.repeat(pieces.seg_ids, length)
-        i_local = ticks - np.repeat(pieces.bounds[:-1] - 1, length)
-        pos[a] = _rows(np.repeat(pieces.par, length, axis=1), slice(None), i_local)
+    cut = np.searchsorted(pieces.tape, np.arange(n + 1))
+    for a in range(n):  # an arm at a time: the repeated parameters are 14 floats a tick
+        mine = slice(cut[a], cut[a + 1])
+        i_local = ticks - np.repeat(pieces.first[mine] - 1, length[mine])
+        pos[a] = _rows(np.repeat(pieces.par[:, mine], length[mine], axis=1), i_local).T
     return pos, act, seg
 
 
-def _pieces(tape: _Tape, t_end: int) -> _Pieces:
-    """The tape over ticks 0..t_end as the table lays it out: home at tick 0
-    (action WAIT, or HOME for an idle arm), the blocks cut at t_end, then the
-    last row held (HOME)."""
-    n_blocks = len(tape.actions)
-    par = np.empty((n_blocks + 2, _N_PARAMS))
-    par[0] = _hold_params(tape.home)
-    par[1:-1] = np.frombuffer(tape.params).reshape(n_blocks, _N_PARAMS)
-    par[-1] = _hold_params(tape.pos)
-    starts = np.zeros(n_blocks + 2, dtype=np.int64)
-    starts[1:] = np.cumsum(par[:-1, 6])
-    m = int(np.searchsorted(starts, t_end, side="right"))
-    actions = np.full(n_blocks + 2, HOME, dtype=np.int8)
-    actions[1:-1] = tape.actions
-    actions[0] = WAIT if n_blocks else HOME
-    seg_ids = np.full(n_blocks + 2, -1, dtype=np.int32)
-    seg_ids[1:-1] = tape.seg_ids
-    bounds = np.append(starts[:m], t_end + 1)
-    return _Pieces(bounds, actions[:m], seg_ids[:m], par[:m].T.copy())
+def _pieces(tapes: list[_Tape], t_ends) -> _Pieces:
+    """The tapes, tape after tape, each over ticks 0..its t_end as the table
+    lays it out: home at tick 0 (action WAIT, or HOME for an idle arm), the
+    blocks cut at t_end, then the last row held (HOME)."""
+    buf, actions, seg_ids, count = array("d"), array("b"), array("i"), []
+    for tape in tapes:
+        buf.extend(_hold_params(tape.home))
+        buf += tape.params
+        buf.extend(_hold_params(tape.pos))
+        actions.append(WAIT if tape.actions else HOME)
+        actions += tape.actions
+        actions.append(HOME)
+        seg_ids.append(-1)
+        seg_ids += tape.seg_ids
+        seg_ids.append(-1)
+        count.append(len(tape.actions) + 2)
+    par = np.frombuffer(buf).reshape(-1, _N_PARAMS)
+    tape = np.repeat(np.arange(len(tapes)), count)
+    start = (np.cumsum(par[:, 6]) - par[:, 6]).astype(np.int64)  # whole tick counts: exact
+    first = start - start[np.cumsum(count) - count][tape]  # from each tape's home piece
+    t_end = np.asarray(t_ends, dtype=np.int64)[tape]
+    keep = first <= t_end
+    first, t_end, tape = first[keep], t_end[keep], tape[keep]
+    last = np.append(tape[1:] != tape[:-1], True)  # of its tape
+    stop = np.where(last, t_end + 1, np.append(first[1:], 0))
+    return _Pieces(
+        par[keep].T.copy(),
+        first,
+        stop - first,
+        tape,
+        np.frombuffer(actions, dtype=np.int8)[keep],
+        np.frombuffer(seg_ids, dtype=np.int32)[keep],
+    )
 
 
 def _hold_params(p) -> list:
     return [*p, *_NEG0, 1, *_NO_DRIFT, *_NO_POST]
 
 
+def tape_arms(scene: VehicleScene) -> list:
+    """The arms in the order of a plan's tapes: the left arms, then their
+    partners."""
+    left = scene.left_arms()
+    return [*left, *(scene.arm(arm.mirror_partner) for arm in left)]
+
+
 def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, SimMetrics]:
     """Plan trajectories for all arms (both sides) under ``scene.config`` and
     read the audit metrics off the plan's tapes.  Raises ValueError if a
     segment id is listed twice or lies outside 1..n_segs."""
+    [(tapes, metrics)] = simulate_all([assign], scene)
+    return Trajectory(tapes, [arm.id for arm in tape_arms(scene)], scene.config), metrics
+
+
+# a group is scored once its arm pairs times pieces reach this: about 5 desk
+# plans, 2 v3 plans or 1 v1 plan; groups twice as large ran no faster on
+# desk and slower on v1
+GROUP_PAIR_PIECES = 16384
+
+
+def simulate_all(assigns, scene: VehicleScene) -> Iterator[tuple[list[_Tape], SimMetrics]]:
+    """``simulate`` for each assignment, without the tables: every plan's
+    tapes and metrics, in order.  The plans are made one after another and
+    scored a group at a time, with one ``_block_metrics`` pass per group; a
+    plan's metrics do not depend on its group.  Only one group's tapes are
+    held at a time."""
+    arms = tape_arms(scene)
+    pairs = len(arms) * (len(arms) - 1) // 2
+    world = _World(scene)
+    group, size = [], 0
+    for k, assign in enumerate(assigns):
+        group.append(_plan(assign, scene, world))
+        size += pairs * sum(len(tape.actions) + 2 for tape in group[-1][0])
+        if size >= GROUP_PAIR_PIECES or k == len(assigns) - 1:
+            scores = _block_metrics([tapes for tapes, _ in group], arms, scene.config)
+            for (tapes, metrics), (t_out, t_col) in zip(group, scores):
+                metrics.t_out, metrics.t_col = t_out, t_col
+                yield tapes, metrics
+            group, size = [], 0
+
+
+def _plan(assign: ArmAssignment, scene: VehicleScene, world: _World):
+    """Every arm's tape, in ``tape_arms`` order, and every metric but t_out
+    and t_col."""
     cfg = scene.config
     left_arms = scene.left_arms()
     if len(assign) != len(left_arms):
@@ -416,10 +488,9 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
     # segments missing from every assignment list are unvisited by definition
     # (decoded genotypes always cover all ids; audited assignments may not)
     missing = scene.n_segs - len(assigned)
-    world = _World(scene)
     metrics = SimMetrics()
 
-    tapes_l, tapes_r, arms_r = [], [], []
+    tapes_l, tapes_r = [], []
     for arm, seg_ids in zip(left_arms, assign):
         partner = scene.arm(arm.mirror_partner)
         tl, tr, exhausted = _plan_pair(scene, arm, partner, seg_ids, world)
@@ -434,22 +505,21 @@ def simulate(assign: ArmAssignment, scene: VehicleScene) -> tuple[Trajectory, Si
         metrics.horizon_exhausted |= exhausted
         tapes_l.append(tl)
         tapes_r.append(tr)
-        arms_r.append(partner)
 
     if missing:
         first = left_arms[0].id
         metrics.n_unvisits[first] = metrics.n_unvisits.get(first, 0) + missing
-
-    tapes, arms = tapes_l + tapes_r, [*left_arms, *arms_r]
-    metrics.t_out, metrics.t_col = _block_metrics(tapes, arms, cfg)
     metrics.order_violations = order_violation_counts(metrics.paint_start_times, scene)
-    return Trajectory(tapes, [a.id for a in arms], cfg), metrics
+    return tapes_l + tapes_r, metrics
 
 
-def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
-    """Out-of-range time per arm id and collision time of the table
-    ``_render`` would build, tested with the same formulas on the same
-    floats, but only on the ticks that interval boxes cannot decide.
+def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
+    """For each plan: out-of-range time per arm id and collision time of the
+    table ``_render`` would build, tested with the same formulas on the same
+    floats, but only on the ticks that neither interval boxes nor the closed
+    form below decide.  The plans are scored side by side on one flat tick
+    axis, each with its own margins, so that a plan's metrics do not depend
+    on the others in its group.
 
     Between consecutive piece starts of all arms each arm stays in one
     piece; its box there spans its rows at the interval's two ends.  Every
@@ -462,79 +532,186 @@ def _block_metrics(tapes: list[_Tape], arms, cfg: ScenarioConfig):
     subtraction, squaring and a sum in one order are monotone too, so a box
     whose nearest point is outside the sphere is wholly out of range, one
     whose farthest corner is inside is wholly in, and two boxes decide a
-    pair's collision the same way."""
-    t_end = min(cfg.t_max, max(tape.t for tape in tapes))
-    laid = [_pieces(tape, t_end) for tape in tapes]
-    # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
-    starts = np.sort(np.concatenate([pieces.bounds[:-1] for pieces in laid]))
-    starts = starts[np.diff(starts, prepend=-1) > 0]
-    bounds = np.append(starts, t_end + 1)
-    length = np.diff(bounds)
-    n_arms, n_iv = len(tapes), len(starts)
+    pair's collision the same way.
 
-    # all tapes' pieces side by side; on[a, q] is arm a's piece on interval q
-    par = np.concatenate([pieces.par for pieces in laid], axis=1)
-    first = np.concatenate([pieces.bounds[:-1] for pieces in laid])
-    actions = np.concatenate([pieces.actions for pieces in laid])
-    on = np.stack([np.searchsorted(pieces.bounds, starts, side="right") - 1 for pieces in laid])
-    on += np.cumsum([0, *(len(pieces.actions) for pieces in laid[:-1])])[:, None]
+    An arm or pair that its boxes leave open goes to the closed form.  On
+    the interval, its test's difference (row minus center, or row minus
+    row) is affine in the local tick τ = 0..L-1: e0 + v·τ, with e0 the
+    difference of the start rows and v that of the pieces' steps (d/n, plus
+    k in x, times mz in z).  The test is then the convex quadratic
+    f(τ) = a·τ² + b·τ + c, a = |v|², b = 2·e0·v and c = |e0|² - thr, against
+    0.  Let W = 2·max(S, |center|), a bound on every component of the
+    difference.  e0 + v·τ is within 16u·W of the test's float difference
+    (rows within 4u·S, v's rounding times τ < n within 2u·S per arm, one
+    subtraction each), which moves its square by under 200u·W².  The test's
+    squares and sums, the rounding of a, b and c and the float evaluation
+    of f add under 200u·W² + 5u·thr.  So the float f(τ) is within
+    σ = 2**-43·(W² + thr) of the tested d2 - thr: where f > σ the test
+    passes, where f < -σ it fails, as surely as with the row.  The roots of
+    f = σ and f = -σ cut [0, L) into at most five runs: above σ,
+    undecided, below -σ, undecided, above σ.  No run rests on a float root
+    alone.  The run below -σ holds if f < -σ at its two end ticks, by
+    convexity.  A run above σ holds if f > σ at its inner end tick and the
+    slope 2a·τ + b there, with its rounding bound, says f falls towards
+    that tick.  A test whose runs do not all hold is undecided throughout.
+    Only the undecided ticks are evaluated with ``_rows`` and tested one by
+    one."""
+    n_arms, n_plans = len(arms), len(plans)
+    t_end = np.array([min(cfg.t_max, max(tape.t for tape in tapes)) for tapes in plans])
+    flat = np.append(0, np.cumsum(t_end + 1))  # each plan's tick 0, then the end
+    pieces = _pieces([tape for tapes in plans for tape in tapes], np.repeat(t_end, n_arms))
+    par, arm, plan_of = pieces.par, pieces.tape % n_arms, pieces.tape // n_arms
+    first = pieces.first + flat[plan_of]
+    # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
+    starts = np.sort(first)
+    starts = starts[np.diff(starts, prepend=-1) > 0]
+    bounds = np.append(starts, flat[-1])
+    length = np.diff(bounds)
+    plan = np.searchsorted(flat, starts, side="right") - 1  # of each interval
+
+    # on[a, q] is arm a's piece on interval q, found among pieces by (arm, tick)
+    by_arm = np.argsort(arm, kind="stable")
+    key = (arm * flat[-1] + first)[by_arm]
+    on = by_arm[np.searchsorted(key, np.arange(n_arms)[:, None] * flat[-1] + starts, "right") - 1]
 
     def rows(j, ticks):  # the rows of pieces j at ticks
-        return _rows(par, j, ticks - first[j] + 1)
+        return _rows(par[:, j], ticks - first[j] + 1)
 
-    ends = rows(np.tile(on.ravel(), 2), np.repeat([starts, bounds[1:] - 1], n_arms, axis=0).ravel())
-    ends = ends.reshape(2, n_arms, n_iv, 3)
-    margin = 2.0**-48 * _scale(par, t_end)
-    lo = np.minimum(ends[0], ends[1]) - margin
-    hi = np.maximum(ends[0], ends[1]) + margin
+    ends = rows(np.concatenate([on, on], axis=1), np.concatenate([starts, bounds[1:] - 1]))
+    ends = ends.reshape(3, n_arms, 2, -1)  # at each interval's first and last tick
+    scale = _scale(par, plan_of, t_end)
+    margin = (2.0**-48 * scale)[plan]
+    lo = np.minimum(ends[:, :, 0], ends[:, :, 1]) - margin
+    hi = np.maximum(ends[:, :, 0], ends[:, :, 1]) + margin
 
-    center = np.array([arm.center for arm in arms], dtype=float)
-    r2 = np.array([arm.radius**2 for arm in arms])
-    c = center[:, None]
-    paint = actions[on] == PAINT
-    near = np.clip(c, lo, hi) - c
-    far = np.maximum(np.abs(lo - c), np.abs(hi - c))
-    out = paint & ((near**2).sum(axis=2) > r2[:, None])
-    straddle = paint & ~out & ((far**2).sum(axis=2) > r2[:, None])
+    center = np.array([a.center for a in arms], dtype=float).T[:, :, None]
+    r2 = np.array([a.radius**2 for a in arms])
+    paint = pieces.actions[on] == PAINT
+    near = np.clip(center, lo, hi) - center
+    far = np.maximum(np.abs(lo - center), np.abs(hi - center))
+    out = paint & (_sq3(near) > r2[:, None])
+    straddle = paint & ~out & (_sq3(far) > r2[:, None])
 
     g2 = cfg.gamma_col * cfg.gamma_col
     pa, pb = np.triu_indices(n_arms, 1)
-    gap = np.maximum(np.maximum(lo[pa] - hi[pb], lo[pb] - hi[pa]), 0.0)
-    span = np.maximum(hi[pa] - lo[pb], hi[pb] - lo[pa])
-    whole = ((span**2).sum(axis=2) < g2).any(axis=0)  # every tick collides
-    close = ((gap**2).sum(axis=2) < g2) & ~whole
+    gap = np.maximum(np.maximum(lo[:, pa] - hi[:, pb], lo[:, pb] - hi[:, pa]), 0.0)
+    span = np.maximum(hi[:, pa] - lo[:, pb], hi[:, pb] - lo[:, pa])
+    whole = (_sq3(span) < g2).any(axis=0)  # every tick collides
+    close = (_sq3(gap) < g2) & ~whole
 
-    # each arm's rows on the intervals it is tested on, computed once
-    need = straddle.copy()
-    for a in range(n_arms):
-        need[a] |= close[(pa == a) | (pb == a)].any(axis=0)
-    na, nq = np.nonzero(need)
-    at = np.zeros((n_arms, n_iv), dtype=np.int64)  # where they start in ``got``
-    at[na, nq] = np.cumsum(length[nq]) - length[nq]
-    got = rows(np.repeat(on[na, nq], length[nq]), _runs(bounds[nq], length[nq]))
-
+    # the tests left open, straddling arms first: pieces ja (and jb), e0, v
     sa, sq = np.nonzero(straddle)
-    owner = np.repeat(sa, length[sq])
-    d = got[_runs(at[sa, sq], length[sq])]
-    d -= center[owner]
-    outside = owner[(d**2).sum(axis=1) > r2[owner]]
-    count = (out * length).sum(axis=1) + np.bincount(outside, minlength=n_arms)
-    t_out = {arm.id: float(n) * cfg.mu for arm, n in zip(arms, count)}
-
-    colliding = np.zeros(t_end + 1, dtype=bool)
-    colliding[_runs(starts[whole], length[whole])] = True
     cp, cq = np.nonzero(close)
-    ticks = _runs(bounds[cq], length[cq])
-    d = got[_runs(at[pa[cp], cq], length[cq])]
-    d -= got[_runs(at[pb[cp], cq], length[cq])]
-    colliding[ticks[(d**2).sum(axis=1) < g2]] = True
-    return t_out, float(colliding.sum()) * cfg.mu
+    ns, q = len(sa), np.concatenate([sq, cq])
+    ja = np.concatenate([on[sa, sq], on[pa[cp], cq]])
+    jb = on[pb[cp], cq]
+    e0 = np.concatenate(
+        [ends[:, sa, 0, sq] - center[:, sa, 0], ends[:, pa[cp], 0, cq] - ends[:, pb[cp], 0, cq]],
+        axis=1,
+    )
+    step = par[3:6] / par[6]
+    step[0] += par[8]
+    step[2] *= par[10]
+    v = step[:, ja]
+    v[:, ns:] -= step[:, jb]
+    thr = np.concatenate([r2[sa], np.full(len(cp), g2)])
+    w = 2.0 * np.maximum(scale, np.abs(center).max())
+    A, B, C, D = _cut(e0, v, thr, 2.0**-43 * (w[plan[q]] ** 2 + thr), length[q])
+
+    # the undecided ticks [A, B) and [C, D) of each test, test after test
+    run_first = np.stack([A, C], axis=1).ravel()
+    run_len = np.stack([B - A, D - C], axis=1).ravel()
+    test = np.repeat(np.arange(len(q)).repeat(2), run_len)
+    ticks = starts[q[test]] + _runs(run_first, run_len)
+    nt = np.searchsorted(test, ns)  # ticks of straddling arms
+    got = rows(np.concatenate([ja[test], jb[test[nt:] - ns]]), np.concatenate([ticks, ticks[nt:]]))
+    ts = test[:nt]
+    outside = ts[_sq3(got[:, :nt] - center[:, sa[ts], 0]) > r2[sa[ts]]]
+    hits = ticks[nt:][_sq3(got[:, nt : len(ticks)] - got[:, len(ticks) :]) < g2]
+
+    # ticks out of range per (plan, arm): whole intervals, runs above σ and tested ticks
+    oa, oq = np.nonzero(out)
+    arm_of = np.concatenate([oa, sa, sa[outside]])
+    interval_of = np.concatenate([oq, sq, sq[outside]])
+    count = np.bincount(
+        plan[interval_of] * n_arms + arm_of,
+        np.concatenate([length[oq], A[:ns] + length[sq] - D[:ns], np.ones(len(outside))]),
+        minlength=n_plans * n_arms,
+    ).reshape(n_plans, n_arms)
+
+    # colliding ticks: whole intervals, runs below -σ and tested hits
+    run_first = np.concatenate([starts[whole], starts[cq] + B[ns:], hits])
+    run_end = np.concatenate([bounds[1:][whole], starts[cq] + C[ns:], hits + 1])
+    depth = np.bincount(run_first, minlength=flat[-1] + 1)
+    depth -= np.bincount(run_end, minlength=flat[-1] + 1)
+    colliding = np.add.reduceat(np.cumsum(depth[:-1]) > 0, flat[:-1], dtype=np.int64)
+    return [
+        ({a.id: float(n) * cfg.mu for a, n in zip(arms, count[p])}, float(colliding[p]) * cfg.mu)
+        for p in range(n_plans)
+    ]
 
 
-def _scale(par: np.ndarray, t_end: int) -> float:
-    """A bound on |p0| + |d| + |off| + |k|·(t0 + i) + |add| of every row."""
-    m = np.abs(par).max(axis=1)
-    return float(m[0:3].max() + m[3:6].max() + m[7] + m[8] * (m[9] + t_end) + m[11:14].max())
+def _sq3(e: np.ndarray) -> np.ndarray:
+    """|e|² over the leading axis of length 3, in the order a numpy sum over
+    three elements takes."""
+    return e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+
+
+def _cut(e0, v, thr, sigma, n):
+    """Per test, the ticks [A, B) and [C, D) of 0..n-1 that the quadratic
+    f(τ) = |e0 + v·τ|² - thr leaves undecided: f > σ on [0, A) and [D, n),
+    f < -σ on [B, C), each run confirmed as ``_block_metrics`` says."""
+    a = _sq3(v)
+    b = 2.0 * (e0[0] * v[0] + e0[1] * v[1] + e0[2] * v[2])
+    c = _sq3(e0) - thr
+    n = n.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi1, hi2 = _roots(a, b, c - sigma)
+        lo1, lo2 = _roots(a, b, c + sigma)
+        # with no root above σ, only the tick nearest the vertex is left open
+        vertex = np.where(a > 0, -b / (2.0 * a), np.where(b < 0, n - 1, 0.0))
+        m = np.clip(np.rint(vertex), 0, n - 1)
+        has = ~np.isnan(hi1)
+        A = np.where(has, np.clip(np.ceil(hi1), 0, n), m)
+        D = np.where(has, np.clip(np.floor(hi2) + 1, A, n), m + 1)
+        has = ~np.isnan(lo1)
+        B = np.where(has, np.clip(np.floor(lo1) + 1, A, D), A)
+        C = np.where(has, np.clip(np.ceil(lo2), B, D), A)
+        # a constant f below -σ is one run
+        flat = (a == 0) & (b == 0) & (c < -sigma)
+        A, B = np.where(flat, 0, A), np.where(flat, 0, B)
+        C, D = np.where(flat, n, C), np.where(flat, n, D)
+
+        def f(t):
+            return (a * t + b) * t + c
+
+        def slope(t):  # 2a·t + b, and a bound on its rounding
+            return 2.0 * a * t + b, 2.0**-50 * (2.0 * a * np.abs(t) + np.abs(b))
+
+        ds, tol = slope(A - 1)
+        ok = (A == 0) | ((f(A - 1) > sigma) & (ds <= -tol))
+        ds, tol = slope(D)
+        ok &= (D == n) | ((f(D) > sigma) & (ds >= tol))
+        ok &= (B == C) | ((f(B) < -sigma) & (f(C - 1) < -sigma))
+    cuts = np.where(ok, A, 0), np.where(ok, B, 0), np.where(ok, C, 0), np.where(ok, D, n)
+    return [x.astype(np.int64) for x in cuts]
+
+
+def _roots(a, b, c):
+    """The real roots r1 <= r2 of a·τ² + b·τ + c where a > 0, else NaN."""
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.where((a > 0) & (disc >= 0), disc, np.nan))
+    q = -0.5 * (b + np.copysign(root, b))
+    return np.fmin(q / a, c / q), np.fmax(q / a, c / q)
+
+
+def _scale(par: np.ndarray, plan_of: np.ndarray, t_end: np.ndarray) -> np.ndarray:
+    """Per plan, a bound on |p0| + |d| + |off| + |k|·(t0 + i) + |add| of
+    every row; ``plan_of`` is each piece's plan, ascending."""
+    heads = np.searchsorted(plan_of, np.arange(len(t_end)))
+    m = np.maximum.reduceat(np.abs(par), heads, axis=1)
+    m0, m3, m11 = m[0:3].max(axis=0), m[3:6].max(axis=0), m[11:14].max(axis=0)
+    return m0 + m3 + m[7] + m[8] * (m[9] + t_end) + m11
 
 
 def _runs(first: np.ndarray, length: np.ndarray) -> np.ndarray:

@@ -14,9 +14,6 @@ ARM_COLORS = (
     "#ff7f0e", "#8c564b", "#17becf", "#e377c2",
 )
 
-# plot every SUBSAMPLE-th tick, plus every paint tick and the last one
-SUBSAMPLE = 5
-
 
 def _polyline(xs, ys, color: str, width: float, dash: str = "") -> str:
     pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
@@ -43,7 +40,7 @@ class _View:
         return x, y
 
 
-def _draw_view(parts, view: _View, pts_2d, actions, scene, axis_label: str):
+def _draw_view(parts, view: _View, paths, scene, axis_label: str):
     # segment endpoints as faint guide lines
     for s in scene.segments:
         ua, va = _project(np.asarray(s.endpoint_a), axis_label)
@@ -54,15 +51,13 @@ def _draw_view(parts, view: _View, pts_2d, actions, scene, axis_label: str):
             f'<line x1="{xa:.1f}" y1="{ya:.1f}" x2="{xb:.1f}" y2="{yb:.1f}" '
             'stroke="#cccccc" stroke-width="0.6" />'
         )
-    for i in range(pts_2d.shape[0]):
+    for i, (pts, actions) in enumerate(paths):
         color = ARM_COLORS[i % len(ARM_COLORS)]
-        u = pts_2d[i, :, 0]
-        v = pts_2d[i, :, 1]
-        xs, ys = view.map(u, v)
+        xs, ys = view.map(*_project(pts, axis_label))
         parts.append(_polyline(xs, ys, color, 0.5, dash="2,2"))
-        # bold overdraw of each run of paint ticks [a, b), joined to the tick
-        # before it
-        edges = np.flatnonzero(np.diff(actions[i] == PAINT, prepend=False, append=False))
+        # bold overdraw of each run of strokes [a, b), from the end of the
+        # block before it
+        edges = np.flatnonzero(np.diff(actions == PAINT, prepend=False, append=False))
         for a, b in zip(edges[::2], edges[1::2]):
             sl = slice(max(a - 1, 0), b)
             parts.append(_polyline(xs[sl], ys[sl], color, 2.0))
@@ -75,16 +70,12 @@ def _project(p, axis_label: str):
 
 
 def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
-    # positions with the line drift removed
+    # each arm's path through its block ends, with the line drift removed
     world = _World(scene)
-    pts = traj.positions.copy()
-    pts[:, :, 0] -= world.offset(np.arange(pts.shape[1], dtype=float))
-    keep = np.zeros(pts.shape[1], dtype=bool)
-    keep[::SUBSAMPLE] = True
-    keep[-1] = True
-    keep |= (traj.actions == PAINT).any(axis=0)  # keep every paint tick
-    pts = pts[:, keep]
-    acts = traj.actions[:, keep]
+    paths = []
+    for ticks, rows, actions in traj.block_ends():
+        rows[0] -= world.offset(ticks)
+        paths.append((rows.T, actions))
     width, height, pad = 900.0, 340.0, 30.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -93,15 +84,14 @@ def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
         '<rect width="100%" height="100%" fill="white" />',
     ]
     for row, label in enumerate(("top", "side")):
-        u, v = _project(pts, label)
-        pts_2d = np.stack([u, v], axis=-1)
+        pts_2d = np.concatenate([np.stack(_project(pts, label), axis=-1) for pts, _ in paths])
         y0 = pad + row * (height + pad)
         view = _View(pts_2d, pad, y0, width - 2 * pad, height)
         parts.append(
             f'<text x="{pad:.0f}" y="{y0 - 8:.0f}" font-family="sans-serif" '
             f'font-size="13">{label} view ({scene.name})</text>'
         )
-        _draw_view(parts, view, pts_2d, acts, scene, label)
+        _draw_view(parts, view, paths, scene, label)
     # legend
     for i, arm_id in enumerate(traj.arm_ids):
         color = ARM_COLORS[i % len(ARM_COLORS)]

@@ -18,7 +18,7 @@ position?) and the index ``_panel_incidence`` (positions per slot and panel);
 
 from __future__ import annotations
 
-from .genotype import UpperSolution
+from .genotype import UpperSolution, validate
 from .lower_sim import never_reachable
 from .scene import ScenarioConfig, VehicleScene, VERTICAL_KINDS, _scene_under
 
@@ -141,6 +141,9 @@ def repair_all(
     use_few_arms: bool = True,
 ) -> UpperSolution:
     scene = _scene_under(scene, cfg)
+    problem = validate(x, scene.n_dim)
+    if problem:
+        raise ValueError(f"malformed genotype: {problem}")
     x = repair_reachability(x, scene)
     x = repair_back_door(x, scene)
     if use_bottom_up:

@@ -210,14 +210,16 @@ def test_criterion_5_small_instance_oracle(verdict):
     for i in range(100):
         scene = random_tiny_scene(5000 + i)
         assign = random_assignment(scene, 6000 + i)
-        report = evaluate(
-            UpperSolution(
-                tuple(
-                    g
-                    for row in _pack(assign, scene)
-                    for g in row
+        [report] = evaluate(
+            [
+                UpperSolution(
+                    tuple(
+                        g
+                        for row in _pack(assign, scene)
+                        for g in row
+                    )
                 )
-            ),
+            ],
             scene,
         )
         traj, metrics = simulate(assign, scene)

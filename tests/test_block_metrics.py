@@ -2,6 +2,7 @@
 of the rendered table are the oracles it must match bit for bit."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,11 +16,13 @@ from linepaint.lower_sim import (
     PAINT,
     Trajectory,
     _block_metrics,
+    _plan,
     _render,
     _rows,
     _Tape,
     collision_time,
     simulate,
+    tape_arms,
 )
 from linepaint.presets import preset_scene
 from linepaint.repair import repair_all
@@ -78,6 +81,61 @@ def test_matches_oracles_on_repaired_preset_genotypes(name):
         colliding += metrics.t_col > 0
         out_of_range += any(metrics.t_out.values())
     assert colliding and out_of_range  # both metrics are exercised
+
+
+def _scaled(scene, factor=1.0, shift=0.0):
+    """The scene with every length and speed times factor, then the world
+    frame moved shift mm along x: the same plan in other floats."""
+    def scale(p):
+        return tuple(c * factor for c in p)
+
+    return replace(
+        scene,
+        front_x=scene.front_x * factor,
+        panels=tuple(replace(p, parallel_offset=p.parallel_offset * factor) for p in scene.panels),
+        segments=tuple(
+            replace(s, endpoint_a=scale(s.endpoint_a), endpoint_b=scale(s.endpoint_b))
+            for s in scene.segments
+        ),
+        arms=tuple(
+            replace(
+                a,
+                center=(a.center[0] * factor + shift, *scale(a.center)[1:]),
+                radius=a.radius * factor,
+            )
+            for a in scene.arms
+        ),
+        line=replace(
+            scene.line,
+            velocity=scene.line.velocity * factor,
+            reference_position=scene.line.reference_position * factor + shift,
+        ),
+        config=replace(
+            scene.config,
+            v_sp=scene.config.v_sp * factor,
+            v_mv=scene.config.v_mv * factor,
+            gamma_col=scene.config.gamma_col * factor,
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", ["desk", "v3"])
+@pytest.mark.parametrize(
+    "factor, shift", [(1.0, 0.0), (1e-3, 0.0), (3.7, 0.0), (1e6, 0.0), (1.0, 1e9), (1.0, 1e12)]
+)
+def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift):
+    # 72 plans over both presets: the margins must hold at every scale and
+    # far from the origin, alone and in groups
+    scene = _scaled(preset_scene(name), factor, shift)
+    rngs = [np.random.default_rng([61, k]) for k in range(6)]
+    assigns = [decode(repair_all(random_solution(scene.n_dim, rng), scene), scene) for rng in rngs]
+    for assign in assigns:
+        _assert_matches_oracles(scene, assign)
+    tapes = [_plan(assign, scene, _World(scene))[0] for assign in assigns]
+    arms = tape_arms(scene)
+    alone = [_block_metrics([t], arms, scene.config) for t in tapes]
+    mixed = _block_metrics(tapes[::-1], arms, scene.config)[::-1]
+    assert [(_hex(o), c.hex()) for o, c in mixed] == [(_hex(o), c.hex()) for [(o, c)] in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +243,12 @@ def test_matches_oracles_on_hand_built_tapes(edge, monkeypatch):
     cfg = ScenarioConfig(gamma_col=300.0, t_max=t_max)
     evaluated = []
 
-    def counted(par, j, i):
-        evaluated.append(len(i))
-        return _rows(par, j, i)
+    def counted(par, i):
+        evaluated.append(i.size)
+        return _rows(par, i)
 
     monkeypatch.setattr(lower_sim, "_rows", counted)
-    t_out, t_col = _block_metrics(tapes, arms, cfg)
+    [(t_out, t_col)] = _block_metrics([tapes], arms, cfg)
     monkeypatch.undo()
     traj = Trajectory(tapes, [a.id for a in arms], cfg)
     assert _hex(t_out) == _hex(oracle_out_of_range(traj, arms))
@@ -198,13 +256,17 @@ def test_matches_oracles_on_hand_built_tapes(edge, monkeypatch):
     assert t_col == colliding_ticks * cfg.mu
     if edge is _edge_one_tick_inside_long_block:
         assert t_out[1] > 0.0
+        # the end rows of each arm on ticks 0 and 1..2000, then no row: the
+        # closed form decides all 2000 ticks, the one collision included
+        assert evaluated == [8, 0]
     if edge is _edge_block_cut_at_t_max:
         assert traj.positions.shape[1] == 151 and t_out[1] == 0.0
     if edge is _edge_stroke_against_the_line:
         assert 0.0 < t_out[1] < 50 * cfg.mu
     if edge is _edge_wholly_decided:
         assert t_out[1] == 200 * cfg.mu
-        # only the two end rows of each arm on ticks 0 and 1..200
+        # only the two end rows of each arm on ticks 0 and 1..200, then no
+        # undecided tick
         assert evaluated == [8, 0]
 
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from linepaint.cli import main
+from linepaint.cli import _write_trajectory_csv, main
+from linepaint.genotype import decode, random_solution
+from linepaint.lower_sim import simulate
 from linepaint.presets import preset_scene
+from linepaint.repair import repair_all
 from linepaint.scene import load_scene, save_scene, scene_to_dict
 from linepaint.seeding import (
     base_boundaries,
@@ -59,6 +63,20 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert len(trace) == 1 + 3  # header + generations 0..2
     info = dict(line.split(": ", 1) for line in (out / "run_info.txt").read_text().splitlines()[1:])
     assert int(info["boundary_seeds"]) > 0
+
+
+def test_trajectory_csv_is_pinned(tmp_path):
+    # every row of a seeded desk plan: the digest csv.writer's file had
+    scene = preset_scene("desk", seed=1)
+    x = repair_all(random_solution(scene.n_dim, np.random.default_rng([77, 0])), scene)
+    traj, _ = simulate(decode(x, scene), scene)
+    _write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert data.startswith(b"arm,tick,x_mm,y_mm,z_mm,action,segment\r\n") and len(data) == 2543516
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "7781c7afa0ea05f277ceee20fb6b8468b6e08e68173f69b7dba278685bcd200b"
+    )
 
 
 @pytest.mark.parametrize("seeding", [True, False])
@@ -276,7 +294,7 @@ def test_audit_matches_solver_pipeline(tmp_path, desk):
     )
     from linepaint.evaluation import evaluate
 
-    rep = evaluate(x, desk)
+    [rep] = evaluate([x], desk)
     saved = json.loads(report_path.read_text())
     assert saved["objective"] == rep.objective
     assert code == (0 if rep.strong_feasible else 1)

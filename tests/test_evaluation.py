@@ -66,14 +66,14 @@ def _feasible_solution(desk):
 
 
 def test_zero_penalty_objective_equals_max_work_time(desk):
-    rep = evaluate(_feasible_solution(desk), desk)
+    [rep] = evaluate([_feasible_solution(desk)], desk)
     assert rep.penalty_range == rep.penalty_collision == rep.penalty_order == 0.0
     assert rep.objective == rep.work_time_max == max(rep.t_a.values())
 
 
 def test_determinism(desk):
     x = solution_from_boundaries(base_boundaries(desk), desk)
-    assert evaluate(x, desk) == evaluate(x, desk)
+    assert evaluate([x], desk) == evaluate([x], desk)
 
 
 def test_unreachable_segment_costs_at_least_rho_unvisits(desk):
@@ -85,8 +85,8 @@ def test_unreachable_segment_costs_at_least_rho_unvisits(desk):
     import dataclasses
 
     small = dataclasses.replace(desk, arms=arms)
-    base = evaluate(x, desk)
-    hit = evaluate(x, small)
+    [base] = evaluate([x], desk)
+    [hit] = evaluate([x], small)
     assert sum(hit.n_unvisits.values()) >= 1
     assert hit.objective - base.objective >= desk.config.rho_unvisits
 
@@ -115,12 +115,12 @@ def test_empty_assignment_objective_dominated_by_unvisits(desk):
 
 def test_weak_notes_report_shared_panels(desk):
     x = solution_from_boundaries(base_boundaries(desk), desk)
-    rep = evaluate(x, desk)
+    [rep] = evaluate([x], desk)
     assert any("more than one arm" in n for n in rep.weak_notes)
 
 
 def test_report_round_trips_to_dict(desk):
-    rep = evaluate(_feasible_solution(desk), desk)
+    [rep] = evaluate([_feasible_solution(desk)], desk)
     d = asdict(rep)
     assert d["objective"] == rep.objective
     assert d["strong_feasible"] is True

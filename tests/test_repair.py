@@ -385,3 +385,20 @@ def test_repair_ignores_arm_ids_and_empty_panels(name):
                 repair_all,
             ):
                 assert op(x, twin) == op(x, scene), op.__name__
+
+
+@pytest.mark.parametrize(
+    "genes, problem",
+    [
+        (tuple(range(1, 10)), "9 genes"),
+        (tuple(range(1, 95)), "94 genes"),
+        ((1,) * 90, "duplicated"),
+        (tuple(range(90)), "outside 1..90"),
+    ],
+    ids=["9_genes", "94_genes", "gene_1_90_times", "ids_0_to_89"],
+)
+def test_repair_all_rejects_a_malformed_genotype(desk, genes, problem):
+    # repair would hand these back unchanged and evaluation fail later
+    assert desk.n_dim == 90
+    with pytest.raises(ValueError, match=problem):
+        repair_all(UpperSolution(genes), desk)
