@@ -91,11 +91,9 @@ class Trajectory:
         the ticks (tick 0 first), the rows there (3, m) and the pieces'
         actions.  A piece is affine in the tick, so its rows lie on the
         line from the previous piece's end row to its own."""
-        n = len(self._tapes)
-        t_end = min(self._t_max, max((tape.t for tape in self._tapes), default=0))
-        pieces = _pieces(self._tapes, [t_end] * n)
+        pieces = _pieces([self._tapes], self._t_max)
         rows = _rows(pieces.par, pieces.length)
-        cut = np.searchsorted(pieces.tape, np.arange(1, n))
+        cut = np.searchsorted(pieces.tape, np.arange(1, len(self._tapes)))
         ticks = pieces.first + pieces.length - 1
         split = np.split(ticks, cut), np.split(rows, cut, axis=1), np.split(pieces.actions, cut)
         return list(zip(*split))
@@ -192,14 +190,15 @@ class _Tape:
 
 
 class _Pieces(NamedTuple):
-    """Tapes laid out tape after tape, each over its ticks 0..t_end."""
+    """Plans laid out tape after tape, each over its plan's ticks 0..t_end."""
 
     par: np.ndarray  # (14, pieces)
     first: np.ndarray  # the tick each piece starts at
     length: np.ndarray  # its ticks up to t_end
-    tape: np.ndarray  # the index of its tape
+    tape: np.ndarray  # the index of its tape, counted over all plans
     actions: np.ndarray
     seg_ids: np.ndarray
+    t_end: np.ndarray  # per plan, the last tick of its table
 
 
 def _rows(par: np.ndarray, i) -> np.ndarray:
@@ -375,10 +374,9 @@ def _plan_pair(scene, left, right, seg_ids, world):
 
 def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table ``Trajectory`` reads: positions, actions and seg_ids."""
-    t_end = min(t_max, max((tape.t for tape in tapes), default=0))
     n = len(tapes)
-    pieces = _pieces(tapes, [t_end] * n)
-    length = pieces.length
+    pieces = _pieces([tapes], t_max)
+    t_end, length = pieces.t_end[0], pieces.length
     act = np.repeat(pieces.actions, length).reshape(n, t_end + 1)
     seg = np.repeat(pieces.seg_ids, length).reshape(n, t_end + 1)
     pos = np.empty((n, t_end + 1, 3))
@@ -391,10 +389,13 @@ def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.
     return pos, act, seg
 
 
-def _pieces(tapes: list[_Tape], t_ends) -> _Pieces:
-    """The tapes, tape after tape, each over ticks 0..its t_end as the table
-    lays it out: home at tick 0 (action WAIT, or HOME for an idle arm), the
-    blocks cut at t_end, then the last row held (HOME)."""
+def _pieces(plans: list[list[_Tape]], t_max: int) -> _Pieces:
+    """The plans' tapes as their tables lay them out: a plan's table ends at
+    t_end = min(t_max, its longest tape), and each tape holds home at tick 0
+    (action WAIT, or HOME for an idle arm), its blocks cut at t_end, then
+    its last row (HOME)."""
+    t_ends = np.array([min(t_max, max((tape.t for tape in plan), default=0)) for plan in plans])
+    tapes = [tape for plan in plans for tape in plan]
     buf, actions, seg_ids, count = array("d"), array("b"), array("i"), []
     for tape in tapes:
         buf.extend(_hold_params(tape.home))
@@ -411,7 +412,7 @@ def _pieces(tapes: list[_Tape], t_ends) -> _Pieces:
     tape = np.repeat(np.arange(len(tapes)), count)
     start = (np.cumsum(par[:, 6]) - par[:, 6]).astype(np.int64)  # whole tick counts: exact
     first = start - start[np.cumsum(count) - count][tape]  # from each tape's home piece
-    t_end = np.asarray(t_ends, dtype=np.int64)[tape]
+    t_end = np.repeat(t_ends, list(map(len, plans)))[tape]
     keep = first <= t_end
     first, t_end, tape = first[keep], t_end[keep], tape[keep]
     last = np.append(tape[1:] != tape[:-1], True)  # of its tape
@@ -423,6 +424,7 @@ def _pieces(tapes: list[_Tape], t_ends) -> _Pieces:
         tape,
         np.frombuffer(actions, dtype=np.int8)[keep],
         np.frombuffer(seg_ids, dtype=np.int32)[keep],
+        t_ends,
     )
 
 
@@ -515,11 +517,10 @@ def _plan(assign: ArmAssignment, scene: VehicleScene, world: _World):
 
 def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     """For each plan: out-of-range time per arm id and collision time of the
-    table ``_render`` would build, tested with the same formulas on the same
-    floats, but only on the ticks that neither interval boxes nor the closed
-    form below decide.  The plans are scored side by side on one flat tick
-    axis, each with its own margins, so that a plan's metrics do not depend
-    on the others in its group.
+    table ``_render`` would build, counted in closed form, and tested with
+    its formulas on its floats only at the ticks left undecided.  The plans
+    lie side by side on one flat tick axis, each with its own margins, so a
+    plan's metrics do not depend on the others in its group.
 
     Between consecutive piece starts of all arms each arm stays in one
     piece; its box there spans its rows at the interval's two ends.  Every
@@ -527,39 +528,36 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     except the x of a drifting stroke that runs against the line (a rising
     plus a falling sequence).  Those rows stay within 4u·S of the exact
     affine values (u = 2**-53, S the parameters' scale, ``_scale``), so
-    none lies more than 8u·S outside the end rows' box: the margin
-    2**-48·S = 32u·S covers that and the widening's own rounding.  Float
-    subtraction, squaring and a sum in one order are monotone too, so a box
-    whose nearest point is outside the sphere is wholly out of range, one
-    whose farthest corner is inside is wholly in, and two boxes decide a
-    pair's collision the same way.
+    none lies more than 8u·S outside the end rows' box, and the margin
+    2**-48·S covers that and the widening's rounding.  Float subtraction,
+    squaring and a sum in one order are monotone too, so the boxes clear
+    exactly, and count nothing: a paint interval whose box's farthest
+    corner is inside the sphere, an arm pair whose boxes are at least
+    gamma_col apart.
 
-    An arm or pair that its boxes leave open goes to the closed form.  On
-    the interval, its test's difference (row minus center, or row minus
-    row) is affine in the local tick τ = 0..L-1: e0 + v·τ, with e0 the
-    difference of the start rows and v that of the pieces' steps (d/n, plus
-    k in x, times mz in z).  The test is then the convex quadratic
-    f(τ) = a·τ² + b·τ + c, a = |v|², b = 2·e0·v and c = |e0|² - thr, against
-    0.  Let W = 2·max(S, |center|), a bound on every component of the
-    difference.  e0 + v·τ is within 16u·W of the test's float difference
-    (rows within 4u·S, v's rounding times τ < n within 2u·S per arm, one
-    subtraction each), which moves its square by under 200u·W².  The test's
-    squares and sums, the rounding of a, b and c and the float evaluation
-    of f add under 200u·W² + 5u·thr.  So the float f(τ) is within
-    σ = 2**-43·(W² + thr) of the tested d2 - thr: where f > σ the test
-    passes, where f < -σ it fails, as surely as with the row.  The roots of
-    f = σ and f = -σ cut [0, L) into at most five runs: above σ,
-    undecided, below -σ, undecided, above σ.  No run rests on a float root
-    alone.  The run below -σ holds if f < -σ at its two end ticks, by
-    convexity.  A run above σ holds if f > σ at its inner end tick and the
-    slope 2a·τ + b there, with its rounding bound, says f falls towards
-    that tick.  A test whose runs do not all hold is undecided throughout.
-    Only the undecided ticks are evaluated with ``_rows`` and tested one by
-    one."""
+    Every other test's difference (row minus center, or row minus row) is
+    affine in the local tick τ = 0..L-1: e0 + v·τ, with e0 the difference
+    of the start rows and v that of the pieces' steps (d/n, plus k in x,
+    times mz in z).  So the test is the convex quadratic
+    f(τ) = |e0 + v·τ|² - thr = a·τ² + b·τ + c against 0.  Let
+    W = 2·max(S, |center|) bound every component of a difference and
+    E = 2·(|e0| + |v|·L) bound |e0 + v·τ|.  e0 + v·τ is within δ = 16u·W per component of the
+    test's float difference (rows, v's rounding times τ, one subtraction),
+    which moves its square by under 2√3·δ·E + 3δ²; the float squares, sums
+    and evaluation of f add under 16u·(E² + thr).  So the float f(τ) is
+    within σ = 2**-43·(E·W + E² + thr) + 2**-90·W² of the tested d2 - thr:
+    where f > σ the test passes, where f < -σ it fails.  The roots of
+    f = ±σ cut [0, L) into at most five runs: above σ, undecided, below -σ,
+    undecided, above σ.  No run rests on a float root alone: the run below
+    -σ holds if f < -σ at its two end ticks (f is convex), a run above σ if
+    f > σ at its inner end tick and the slope there, with its rounding
+    bound, falls towards that tick.  A lone tick between runs above σ is
+    decided by f > σ there.  A test whose runs do not all hold is undecided
+    throughout.  Only undecided ticks are evaluated with ``_rows`` and
+    tested one by one."""
     n_arms, n_plans = len(arms), len(plans)
-    t_end = np.array([min(cfg.t_max, max(tape.t for tape in tapes)) for tapes in plans])
-    flat = np.append(0, np.cumsum(t_end + 1))  # each plan's tick 0, then the end
-    pieces = _pieces([tape for tapes in plans for tape in tapes], np.repeat(t_end, n_arms))
+    pieces = _pieces(plans, cfg.t_max)
+    flat = np.append(0, np.cumsum(pieces.t_end + 1))  # each plan's tick 0, then the end
     par, arm, plan_of = pieces.par, pieces.tape % n_arms, pieces.tape // n_arms
     first = pieces.first + flat[plan_of]
     # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
@@ -579,7 +577,7 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
 
     ends = rows(np.concatenate([on, on], axis=1), np.concatenate([starts, bounds[1:] - 1]))
     ends = ends.reshape(3, n_arms, 2, -1)  # at each interval's first and last tick
-    scale = _scale(par, plan_of, t_end)
+    scale = _scale(par, plan_of, pieces.t_end)
     margin = (2.0**-48 * scale)[plan]
     lo = np.minimum(ends[:, :, 0], ends[:, :, 1]) - margin
     hi = np.maximum(ends[:, :, 0], ends[:, :, 1]) + margin
@@ -587,20 +585,16 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     center = np.array([a.center for a in arms], dtype=float).T[:, :, None]
     r2 = np.array([a.radius**2 for a in arms])
     paint = pieces.actions[on] == PAINT
-    near = np.clip(center, lo, hi) - center
     far = np.maximum(np.abs(lo - center), np.abs(hi - center))
-    out = paint & (_sq3(near) > r2[:, None])
-    straddle = paint & ~out & (_sq3(far) > r2[:, None])
+    beyond = paint & (_sq3(far) > r2[:, None])
 
     g2 = cfg.gamma_col * cfg.gamma_col
     pa, pb = np.triu_indices(n_arms, 1)
     gap = np.maximum(np.maximum(lo[:, pa] - hi[:, pb], lo[:, pb] - hi[:, pa]), 0.0)
-    span = np.maximum(hi[:, pa] - lo[:, pb], hi[:, pb] - lo[:, pa])
-    whole = (_sq3(span) < g2).any(axis=0)  # every tick collides
-    close = (_sq3(gap) < g2) & ~whole
+    close = _sq3(gap) < g2
 
-    # the tests left open, straddling arms first: pieces ja (and jb), e0, v
-    sa, sq = np.nonzero(straddle)
+    # the tests left open, arms first: pieces ja (and jb), e0, v
+    sa, sq = np.nonzero(beyond)
     cp, cq = np.nonzero(close)
     ns, q = len(sa), np.concatenate([sq, cq])
     ja = np.concatenate([on[sa, sq], on[pa[cp], cq]])
@@ -616,32 +610,29 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     v[:, ns:] -= step[:, jb]
     thr = np.concatenate([r2[sa], np.full(len(cp), g2)])
     w = 2.0 * np.maximum(scale, np.abs(center).max())
-    A, B, C, D = _cut(e0, v, thr, 2.0**-43 * (w[plan[q]] ** 2 + thr), length[q])
+    A, B, C, D = _cut(e0, v, thr, w[plan[q]], length[q])
 
     # the undecided ticks [A, B) and [C, D) of each test, test after test
     run_first = np.stack([A, C], axis=1).ravel()
     run_len = np.stack([B - A, D - C], axis=1).ravel()
     test = np.repeat(np.arange(len(q)).repeat(2), run_len)
     ticks = starts[q[test]] + _runs(run_first, run_len)
-    nt = np.searchsorted(test, ns)  # ticks of straddling arms
+    nt = np.searchsorted(test, ns)  # ticks of arm tests
     got = rows(np.concatenate([ja[test], jb[test[nt:] - ns]]), np.concatenate([ticks, ticks[nt:]]))
     ts = test[:nt]
     outside = ts[_sq3(got[:, :nt] - center[:, sa[ts], 0]) > r2[sa[ts]]]
     hits = ticks[nt:][_sq3(got[:, nt : len(ticks)] - got[:, len(ticks) :]) < g2]
 
-    # ticks out of range per (plan, arm): whole intervals, runs above σ and tested ticks
-    oa, oq = np.nonzero(out)
-    arm_of = np.concatenate([oa, sa, sa[outside]])
-    interval_of = np.concatenate([oq, sq, sq[outside]])
+    # ticks out of range per (plan, arm): runs above σ and tested ticks
     count = np.bincount(
-        plan[interval_of] * n_arms + arm_of,
-        np.concatenate([length[oq], A[:ns] + length[sq] - D[:ns], np.ones(len(outside))]),
+        plan[np.concatenate([sq, sq[outside]])] * n_arms + np.concatenate([sa, sa[outside]]),
+        np.concatenate([A[:ns] + length[sq] - D[:ns], np.ones(len(outside))]),
         minlength=n_plans * n_arms,
     ).reshape(n_plans, n_arms)
 
-    # colliding ticks: whole intervals, runs below -σ and tested hits
-    run_first = np.concatenate([starts[whole], starts[cq] + B[ns:], hits])
-    run_end = np.concatenate([bounds[1:][whole], starts[cq] + C[ns:], hits + 1])
+    # colliding ticks: runs below -σ and tested hits
+    run_first = np.concatenate([starts[cq] + B[ns:], hits])
+    run_end = np.concatenate([starts[cq] + C[ns:], hits + 1])
     depth = np.bincount(run_first, minlength=flat[-1] + 1)
     depth -= np.bincount(run_end, minlength=flat[-1] + 1)
     colliding = np.add.reduceat(np.cumsum(depth[:-1]) > 0, flat[:-1], dtype=np.int64)
@@ -657,14 +648,18 @@ def _sq3(e: np.ndarray) -> np.ndarray:
     return e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
 
 
-def _cut(e0, v, thr, sigma, n):
+def _cut(e0, v, thr, w, n):
     """Per test, the ticks [A, B) and [C, D) of 0..n-1 that the quadratic
     f(τ) = |e0 + v·τ|² - thr leaves undecided: f > σ on [0, A) and [D, n),
-    f < -σ on [B, C), each run confirmed as ``_block_metrics`` says."""
+    f < -σ on [B, C), each run confirmed as ``_block_metrics`` says, with
+    the slack σ sized there from the test's E and its W, given as w."""
     a = _sq3(v)
     b = 2.0 * (e0[0] * v[0] + e0[1] * v[1] + e0[2] * v[2])
-    c = _sq3(e0) - thr
+    e2 = _sq3(e0)
+    c = e2 - thr
     n = n.astype(float)
+    e = 2.0 * (np.sqrt(e2) + np.sqrt(a) * n)  # bounds |e0 + v·τ| on the interval
+    sigma = 2.0**-43 * (e * w + e * e + thr) + 2.0**-90 * w * w
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi1, hi2 = _roots(a, b, c - sigma)
         lo1, lo2 = _roots(a, b, c + sigma)
@@ -693,6 +688,9 @@ def _cut(e0, v, thr, sigma, n):
         ds, tol = slope(D)
         ok &= (D == n) | ((f(D) > sigma) & (ds >= tol))
         ok &= (B == C) | ((f(B) < -sigma) & (f(C - 1) < -sigma))
+        # a lone open tick with f above σ is decided too
+        lone = ok & (D - A == 1) & (f(A) > sigma)
+        B, C, D = (np.where(lone, A, x) for x in (B, C, D))
     cuts = np.where(ok, A, 0), np.where(ok, B, 0), np.where(ok, C, 0), np.where(ok, D, n)
     return [x.astype(np.int64) for x in cuts]
 

@@ -123,9 +123,10 @@ def _scaled(scene, factor=1.0, shift=0.0):
 @pytest.mark.parametrize(
     "factor, shift", [(1.0, 0.0), (1e-3, 0.0), (3.7, 0.0), (1e6, 0.0), (1.0, 1e9), (1.0, 1e12)]
 )
-def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift):
+def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift, monkeypatch):
     # 72 plans over both presets: the margins must hold at every scale and
-    # far from the origin, alone and in groups
+    # far from the origin, alone and in groups, and the slack must leave
+    # few ticks to the rows
     scene = _scaled(preset_scene(name), factor, shift)
     rngs = [np.random.default_rng([61, k]) for k in range(6)]
     assigns = [decode(repair_all(random_solution(scene.n_dim, rng), scene), scene) for rng in rngs]
@@ -133,7 +134,21 @@ def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift):
         _assert_matches_oracles(scene, assign)
     tapes = [_plan(assign, scene, _World(scene))[0] for assign in assigns]
     arms = tape_arms(scene)
-    alone = [_block_metrics([t], arms, scene.config) for t in tapes]
+    evaluated = []
+
+    def counted(par, i):
+        evaluated.append(i.size)
+        return _rows(par, i)
+
+    monkeypatch.setattr(lower_sim, "_rows", counted)
+    alone = []
+    for t in tapes:
+        evaluated.clear()
+        alone.append(_block_metrics([t], arms, scene.config))
+        # the rows after the end rows: none unshifted or at 1e9 mm, at most
+        # 538 at 1e12 mm
+        assert sum(evaluated[1:]) <= 1000
+    monkeypatch.undo()
     mixed = _block_metrics(tapes[::-1], arms, scene.config)[::-1]
     assert [(_hex(o), c.hex()) for o, c in mixed] == [(_hex(o), c.hex()) for [(o, c)] in alone]
 
@@ -202,26 +217,47 @@ def _edge_block_cut_at_t_max():
     return [tape_a, _parked((0.0, 0.0, 4000.0), 300)], _ARMS, 150, 0
 
 
-def _edge_stroke_against_the_line():
+def _against_the_line(center_x, radius):
     # a stroke that runs along -x at the line's speed: its drifting x rows
     # are not monotone, and some interior rows lie an ulp beyond the end
-    # rows.  Arm 1's sphere touches the farthest of them, so a box spanned
-    # by the end rows alone would count the whole stroke out of range.
+    # rows.  Arm 1's sphere lies on the stroke's line, its center center_x
+    # from x_max, the farthest of them.
     tape_a = _Tape((1500.7, 0.0, 0.0))
     _paint(tape_a, 50, [-49.0, 0.0, 0.0], _world(0.98, -4321.123))
     tapes = [tape_a, _parked((0.0, 5000.0, 0.0), 50)]
     x = Trajectory(tapes, [1, 2], ScenarioConfig()).positions[0, 1:, 0]
     assert x.max() > max(x[0], x[-1])
     arms = (
-        ArmConfig(1, (x.max() + 1024.0, 0.0, 0.0), 1024.0, 1, "left", 2),
+        ArmConfig(1, (float(x.max() + center_x), 0.0, 0.0), float(radius), 1, "left", 2),
         ArmConfig(2, (0.0, 5000.0, 0.0), 1000.0, 1, "right", 1),
     )
     return tapes, arms, 15000, 0
 
 
+def _edge_stroke_against_the_line():
+    # the sphere touches x_max from beyond it: a box spanned by the end
+    # rows alone would count the whole stroke out of range
+    return _against_the_line(1024.0, 1024.0)
+
+
+def _edge_stroke_against_the_line_mirrored():
+    # the sphere ends an ulp short of x_max: a box spanned by the end rows
+    # alone would have its farthest corner inside and clear the stroke
+    return _against_the_line(-1024.0, np.nextafter(1024.0, 0.0))
+
+
+def _edge_lone_vertex_tick():
+    # a 2000-tick diagonal stroke whose box holds a parked head, which it
+    # never passes closer than 424 mm: f stays above σ, with its vertex
+    # inside the interval
+    tape_a = _Tape((-1000.0, -1000.0, 0.0))
+    _paint(tape_a, 2000, [2000.0, 2000.0, 0.0])
+    return [tape_a, _parked((300.0, -300.0, 0.0), 2000)], _ARMS, 15000, 0
+
+
 def _edge_wholly_decided():
     # a stroke wholly outside arm 1's sphere, 100-112 mm from a parked head
-    # throughout: both counts come from the boxes alone
+    # throughout: the closed form counts every tick of both, with no row
     tape_a = _Tape((0.0, 0.0, 1500.0))
     _paint(tape_a, 200, [50.0, 0.0, 0.0])
     return [tape_a, _parked((0.0, 0.0, 1600.0), 200)], _ARMS, 15000, 201
@@ -235,6 +271,8 @@ def _edge_wholly_decided():
         _edge_held_past_tape_end,
         _edge_block_cut_at_t_max,
         _edge_stroke_against_the_line,
+        _edge_stroke_against_the_line_mirrored,
+        _edge_lone_vertex_tick,
         _edge_wholly_decided,
     ],
 )
@@ -261,8 +299,11 @@ def test_matches_oracles_on_hand_built_tapes(edge, monkeypatch):
         assert evaluated == [8, 0]
     if edge is _edge_block_cut_at_t_max:
         assert traj.positions.shape[1] == 151 and t_out[1] == 0.0
-    if edge is _edge_stroke_against_the_line:
+    if edge in (_edge_stroke_against_the_line, _edge_stroke_against_the_line_mirrored):
         assert 0.0 < t_out[1] < 50 * cfg.mu
+    if edge is _edge_lone_vertex_tick:
+        # the closed form decides the tick nearest the vertex too
+        assert evaluated == [8, 0]
     if edge is _edge_wholly_decided:
         assert t_out[1] == 200 * cfg.mu
         # only the two end rows of each arm on ticks 0 and 1..200, then no
