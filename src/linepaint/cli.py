@@ -51,6 +51,24 @@ def _config_hash(scene: VehicleScene, ga_cfg: ga.GaConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _scene_digest(scene: VehicleScene) -> str:
+    """The scene's geometry, arms and line as 16 hex digits of a sha256 of
+    their canonical JSON, every number a float so that 1500 and 1500.0 hash
+    alike.  The config is left out: saved genes may be re-scored under other
+    weights, and decoding checks the gene count."""
+
+    def canon(v):
+        if isinstance(v, dict):
+            return {k: canon(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [canon(x) for x in v]
+        return float(v) if type(v) is int else v
+
+    doc = scene_to_dict(scene)
+    del doc["config"]
+    return hashlib.sha256(json.dumps(canon(doc), sort_keys=True).encode()).hexdigest()[:16]
+
+
 def _load(args) -> VehicleScene:
     if args.scenario:
         if args.scene_seed is not None:
@@ -147,6 +165,7 @@ def cmd_solve(args) -> int:
             {
                 "format_version": 1,
                 "config_hash": chash,
+                "scene_digest": _scene_digest(scene),
                 "seed": ga_cfg.seed,
                 "genes": list(result.best.genes),
                 "objective": report.objective,
@@ -212,6 +231,11 @@ def cmd_audit(args) -> int:
         if doc.get("format_version", 1) != 1:
             raise ScenarioError(
                 f"unsupported assignment format_version {doc.get('format_version')}"
+            )
+        digest = _scene_digest(scene)
+        if doc.get("scene_digest", digest) != digest:
+            raise ScenarioError(
+                f"assignment was saved for scene {doc['scene_digest']}, not this scene {digest}"
             )
         if "genes" in doc:
             sol = UpperSolution(_ids(doc["genes"]))

@@ -132,7 +132,8 @@ def _sub(a, b) -> tuple[float, float, float]:
     return a[0] - b[0], a[1] - b[1], a[2] - b[2]
 
 
-def _sq(d) -> float:
+def _sq(d):
+    """|d|² of a point, or over the leading axis of length 3 of an array."""
     return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]  # fixed order, unlike a BLAS kernel
 
 
@@ -519,47 +520,47 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     """For each plan: out-of-range time per arm id and collision time of the
     table ``_render`` would build, counted in closed form, and tested with
     its formulas on its floats only at the ticks left undecided.  The plans
-    lie side by side on one flat tick axis, each with its own margins, so a
-    plan's metrics do not depend on the others in its group.
+    lie side by side on one flat tick axis and share one scale S per pass
+    (``_scale``); the counts are exact under any valid S, so a plan's
+    metrics do not depend on the others in its group.
 
     Between consecutive piece starts of all arms each arm stays in one
     piece; its box there spans its rows at the interval's two ends.  Every
     step of ``_rows`` is monotone in the tick, so each row component is,
     except the x of a drifting stroke that runs against the line (a rising
     plus a falling sequence).  Those rows stay within 4u·S of the exact
-    affine values (u = 2**-53, S the parameters' scale, ``_scale``), so
-    none lies more than 8u·S outside the end rows' box, and the margin
-    2**-48·S covers that and the widening's rounding.  Float subtraction,
-    squaring and a sum in one order are monotone too, so the boxes clear
-    exactly, and count nothing: a paint interval whose box's farthest
-    corner is inside the sphere, an arm pair whose boxes are at least
-    gamma_col apart.
+    affine values (u = 2**-53), so none lies more than 8u·S outside the
+    end rows' box, and the margin 2**-48·S covers that and the widening's
+    rounding.  Float subtraction, squaring and a sum in one order are
+    monotone too, so the boxes clear exactly: an arm pair whose boxes are
+    at least gamma_col apart collides at no tick of the interval.
 
-    Every other test's difference (row minus center, or row minus row) is
-    affine in the local tick τ = 0..L-1: e0 + v·τ, with e0 the difference
-    of the start rows and v that of the pieces' steps (d/n, plus k in x,
-    times mz in z).  So the test is the convex quadratic
+    Every other pair test and every paint interval of an arm has a
+    difference (row minus row, or row minus center) that is affine in the
+    local tick τ = 0..L-1: e0 + v·τ, with e0 the difference of the start
+    rows and v that of the pieces' steps (d/n, plus k in x, times mz in z).
+    So the test is the convex quadratic
     f(τ) = |e0 + v·τ|² - thr = a·τ² + b·τ + c against 0.  Let
     W = 2·max(S, |center|) bound every component of a difference and
-    E = 2·(|e0| + |v|·L) bound |e0 + v·τ|.  e0 + v·τ is within δ = 16u·W per component of the
-    test's float difference (rows, v's rounding times τ, one subtraction),
-    which moves its square by under 2√3·δ·E + 3δ²; the float squares, sums
-    and evaluation of f add under 16u·(E² + thr).  So the float f(τ) is
-    within σ = 2**-43·(E·W + E² + thr) + 2**-90·W² of the tested d2 - thr:
-    where f > σ the test passes, where f < -σ it fails.  The roots of
-    f = ±σ cut [0, L) into at most five runs: above σ, undecided, below -σ,
-    undecided, above σ.  No run rests on a float root alone: the run below
-    -σ holds if f < -σ at its two end ticks (f is convex), a run above σ if
-    f > σ at its inner end tick and the slope there, with its rounding
-    bound, falls towards that tick.  A lone tick between runs above σ is
-    decided by f > σ there.  A test whose runs do not all hold is undecided
-    throughout.  Only undecided ticks are evaluated with ``_rows`` and
-    tested one by one."""
+    E = 2·(|e0| + |v|·L) bound |e0 + v·τ|.  e0 + v·τ is within δ = 16u·W
+    per component of the test's float difference (rows, v's rounding times
+    τ, one subtraction), which moves its square by under 2√3·δ·E + 3δ²; the
+    float squares, sums and evaluation of f add under 16u·(E² + thr).  So
+    the float f(τ) is within σ = 2**-43·(E·W + E² + thr) + 2**-90·W² of the
+    tested d2 - thr: where f > σ the test passes, where f < -σ it fails.
+    The roots of f = ±σ cut [0, L) into at most five runs: above σ,
+    undecided, below -σ, undecided, above σ.  No run rests on a float root
+    alone: the run below -σ holds if f < -σ at its two end ticks (f is
+    convex), a run above σ if f > σ at its inner end tick and the slope
+    there, with its rounding bound, falls towards that tick.  A lone tick
+    between runs above σ is decided by f > σ there.  A test whose runs do
+    not all hold is undecided throughout.  Only undecided ticks are
+    evaluated with ``_rows`` and tested one by one."""
     n_arms, n_plans = len(arms), len(plans)
     pieces = _pieces(plans, cfg.t_max)
     flat = np.append(0, np.cumsum(pieces.t_end + 1))  # each plan's tick 0, then the end
-    par, arm, plan_of = pieces.par, pieces.tape % n_arms, pieces.tape // n_arms
-    first = pieces.first + flat[plan_of]
+    par, arm = pieces.par, pieces.tape % n_arms
+    first = pieces.first + flat[pieces.tape // n_arms]
     # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB)
     starts = np.sort(first)
     starts = starts[np.diff(starts, prepend=-1) > 0]
@@ -577,30 +578,26 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
 
     ends = rows(np.concatenate([on, on], axis=1), np.concatenate([starts, bounds[1:] - 1]))
     ends = ends.reshape(3, n_arms, 2, -1)  # at each interval's first and last tick
-    scale = _scale(par, plan_of, pieces.t_end)
-    margin = (2.0**-48 * scale)[plan]
+    scale = _scale(par, pieces.t_end)
+    margin = 2.0**-48 * scale
     lo = np.minimum(ends[:, :, 0], ends[:, :, 1]) - margin
     hi = np.maximum(ends[:, :, 0], ends[:, :, 1]) + margin
-
-    center = np.array([a.center for a in arms], dtype=float).T[:, :, None]
-    r2 = np.array([a.radius**2 for a in arms])
-    paint = pieces.actions[on] == PAINT
-    far = np.maximum(np.abs(lo - center), np.abs(hi - center))
-    beyond = paint & (_sq3(far) > r2[:, None])
 
     g2 = cfg.gamma_col * cfg.gamma_col
     pa, pb = np.triu_indices(n_arms, 1)
     gap = np.maximum(np.maximum(lo[:, pa] - hi[:, pb], lo[:, pb] - hi[:, pa]), 0.0)
-    close = _sq3(gap) < g2
+    close = _sq(gap) < g2
 
     # the tests left open, arms first: pieces ja (and jb), e0, v
-    sa, sq = np.nonzero(beyond)
+    center = np.array([a.center for a in arms], dtype=float).T
+    r2 = np.array([a.radius**2 for a in arms])
+    sa, sq = np.nonzero(pieces.actions[on] == PAINT)
     cp, cq = np.nonzero(close)
     ns, q = len(sa), np.concatenate([sq, cq])
     ja = np.concatenate([on[sa, sq], on[pa[cp], cq]])
     jb = on[pb[cp], cq]
     e0 = np.concatenate(
-        [ends[:, sa, 0, sq] - center[:, sa, 0], ends[:, pa[cp], 0, cq] - ends[:, pb[cp], 0, cq]],
+        [ends[:, sa, 0, sq] - center[:, sa], ends[:, pa[cp], 0, cq] - ends[:, pb[cp], 0, cq]],
         axis=1,
     )
     step = par[3:6] / par[6]
@@ -609,8 +606,8 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     v = step[:, ja]
     v[:, ns:] -= step[:, jb]
     thr = np.concatenate([r2[sa], np.full(len(cp), g2)])
-    w = 2.0 * np.maximum(scale, np.abs(center).max())
-    A, B, C, D = _cut(e0, v, thr, w[plan[q]], length[q])
+    w = 2.0 * max(scale, np.abs(center).max())
+    A, B, C, D = _cut(e0, v, thr, w, length[q])
 
     # the undecided ticks [A, B) and [C, D) of each test, test after test
     run_first = np.stack([A, C], axis=1).ravel()
@@ -620,8 +617,8 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     nt = np.searchsorted(test, ns)  # ticks of arm tests
     got = rows(np.concatenate([ja[test], jb[test[nt:] - ns]]), np.concatenate([ticks, ticks[nt:]]))
     ts = test[:nt]
-    outside = ts[_sq3(got[:, :nt] - center[:, sa[ts], 0]) > r2[sa[ts]]]
-    hits = ticks[nt:][_sq3(got[:, nt : len(ticks)] - got[:, len(ticks) :]) < g2]
+    outside = ts[_sq(got[:, :nt] - center[:, sa[ts]]) > r2[sa[ts]]]
+    hits = ticks[nt:][_sq(got[:, nt : len(ticks)] - got[:, len(ticks) :]) < g2]
 
     # ticks out of range per (plan, arm): runs above σ and tested ticks
     count = np.bincount(
@@ -642,20 +639,15 @@ def _block_metrics(plans: list[list[_Tape]], arms, cfg: ScenarioConfig):
     ]
 
 
-def _sq3(e: np.ndarray) -> np.ndarray:
-    """|e|² over the leading axis of length 3, in the order a numpy sum over
-    three elements takes."""
-    return e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
-
-
 def _cut(e0, v, thr, w, n):
     """Per test, the ticks [A, B) and [C, D) of 0..n-1 that the quadratic
     f(τ) = |e0 + v·τ|² - thr leaves undecided: f > σ on [0, A) and [D, n),
     f < -σ on [B, C), each run confirmed as ``_block_metrics`` says, with
-    the slack σ sized there from the test's E and its W, given as w."""
-    a = _sq3(v)
+    the slack σ sized there from the test's E and the pass's W, given as
+    w."""
+    a = _sq(v)
     b = 2.0 * (e0[0] * v[0] + e0[1] * v[1] + e0[2] * v[2])
-    e2 = _sq3(e0)
+    e2 = _sq(e0)
     c = e2 - thr
     n = n.astype(float)
     e = 2.0 * (np.sqrt(e2) + np.sqrt(a) * n)  # bounds |e0 + v·τ| on the interval
@@ -703,13 +695,11 @@ def _roots(a, b, c):
     return np.fmin(q / a, c / q), np.fmax(q / a, c / q)
 
 
-def _scale(par: np.ndarray, plan_of: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-    """Per plan, a bound on |p0| + |d| + |off| + |k|·(t0 + i) + |add| of
-    every row; ``plan_of`` is each piece's plan, ascending."""
-    heads = np.searchsorted(plan_of, np.arange(len(t_end)))
-    m = np.maximum.reduceat(np.abs(par), heads, axis=1)
-    m0, m3, m11 = m[0:3].max(axis=0), m[3:6].max(axis=0), m[11:14].max(axis=0)
-    return m0 + m3 + m[7] + m[8] * (m[9] + t_end) + m11
+def _scale(par: np.ndarray, t_end: np.ndarray) -> float:
+    """S, one bound on |p0| + |d| + |off| + |k|·(t0 + i) + |add| of every
+    row of the pass."""
+    m = np.abs(par).max(axis=1)
+    return m[0:3].max() + m[3:6].max() + m[7] + m[8] * (m[9] + t_end.max()) + m[11:14].max()
 
 
 def _runs(first: np.ndarray, length: np.ndarray) -> np.ndarray:

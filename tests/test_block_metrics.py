@@ -124,8 +124,8 @@ def _scaled(scene, factor=1.0, shift=0.0):
     "factor, shift", [(1.0, 0.0), (1e-3, 0.0), (3.7, 0.0), (1e6, 0.0), (1.0, 1e9), (1.0, 1e12)]
 )
 def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift, monkeypatch):
-    # 72 plans over both presets: the margins must hold at every scale and
-    # far from the origin, alone and in groups, and the slack must leave
+    # 72 plans over both presets: the margin and the slack must hold at
+    # every scale and far from the origin, alone and in groups, and leave
     # few ticks to the rows
     scene = _scaled(preset_scene(name), factor, shift)
     rngs = [np.random.default_rng([61, k]) for k in range(6)]
@@ -148,8 +148,10 @@ def test_matches_oracles_on_scaled_and_shifted_scenes(name, factor, shift, monke
         # the rows after the end rows: none unshifted or at 1e9 mm, at most
         # 538 at 1e12 mm
         assert sum(evaluated[1:]) <= 1000
-    monkeypatch.undo()
+    evaluated.clear()
     mixed = _block_metrics(tapes[::-1], arms, scene.config)[::-1]
+    assert sum(evaluated[1:]) <= 1000 * len(tapes)  # under the pass's one S
+    monkeypatch.undo()
     assert [(_hex(o), c.hex()) for o, c in mixed] == [(_hex(o), c.hex()) for [(o, c)] in alone]
 
 
@@ -217,16 +219,22 @@ def _edge_block_cut_at_t_max():
     return [tape_a, _parked((0.0, 0.0, 4000.0), 300)], _ARMS, 150, 0
 
 
-def _against_the_line(center_x, radius):
+def _stroke_against_the_line():
     # a stroke that runs along -x at the line's speed: its drifting x rows
     # are not monotone, and some interior rows lie an ulp beyond the end
-    # rows.  Arm 1's sphere lies on the stroke's line, its center center_x
-    # from x_max, the farthest of them.
-    tape_a = _Tape((1500.7, 0.0, 0.0))
-    _paint(tape_a, 50, [-49.0, 0.0, 0.0], _world(0.98, -4321.123))
-    tapes = [tape_a, _parked((0.0, 5000.0, 0.0), 50)]
-    x = Trajectory(tapes, [1, 2], ScenarioConfig()).positions[0, 1:, 0]
+    # rows.  Its tape and the x of its rows.
+    tape = _Tape((1500.7, 0.0, 0.0))
+    _paint(tape, 50, [-49.0, 0.0, 0.0], _world(0.98, -4321.123))
+    x = Trajectory([tape], [1], ScenarioConfig()).positions[0, 1:, 0]
     assert x.max() > max(x[0], x[-1])
+    return tape, x
+
+
+def _against_the_line(center_x, radius):
+    # arm 1's sphere lies on the stroke's line, its center center_x from
+    # x_max, the farthest of the rows
+    tape_a, x = _stroke_against_the_line()
+    tapes = [tape_a, _parked((0.0, 5000.0, 0.0), 50)]
     arms = (
         ArmConfig(1, (float(x.max() + center_x), 0.0, 0.0), float(radius), 1, "left", 2),
         ArmConfig(2, (0.0, 5000.0, 0.0), 1000.0, 1, "right", 1),
@@ -235,15 +243,26 @@ def _against_the_line(center_x, radius):
 
 
 def _edge_stroke_against_the_line():
-    # the sphere touches x_max from beyond it: a box spanned by the end
-    # rows alone would count the whole stroke out of range
+    # the sphere touches x_max from beyond it: the affine rows, from the
+    # start row along the step, stay outside it, so a closed form without
+    # its slack would count the whole stroke out of range
     return _against_the_line(1024.0, 1024.0)
 
 
 def _edge_stroke_against_the_line_mirrored():
-    # the sphere ends an ulp short of x_max: a box spanned by the end rows
-    # alone would have its farthest corner inside and clear the stroke
+    # the sphere ends an ulp short of x_max: the affine rows stay inside
+    # it, so a closed form without its slack would count no tick out of
+    # range
     return _against_the_line(-1024.0, np.nextafter(1024.0, 0.0))
+
+
+def _edge_pair_against_the_line():
+    # the other head is parked gamma_col beyond the end rows' larger x, so
+    # the interior rows an ulp beyond them come within gamma_col: pair
+    # boxes spanned by the end rows without their margin would clear them
+    tape_a, x = _stroke_against_the_line()
+    parked = _parked((float(max(x[0], x[-1]) + 300.0), 0.0, 0.0), 50)
+    return [tape_a, parked], _ARMS, 15000, 18
 
 
 def _edge_lone_vertex_tick():
@@ -272,6 +291,7 @@ def _edge_wholly_decided():
         _edge_block_cut_at_t_max,
         _edge_stroke_against_the_line,
         _edge_stroke_against_the_line_mirrored,
+        _edge_pair_against_the_line,
         _edge_lone_vertex_tick,
         _edge_wholly_decided,
     ],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from linepaint.cli import _write_trajectory_csv, main
+from linepaint.cli import _scene_digest, _write_trajectory_csv, main
 from linepaint.genotype import decode, random_solution
 from linepaint.lower_sim import simulate
 from linepaint.presets import preset_scene
@@ -272,6 +272,25 @@ def test_scene_seed_picks_the_preset_geometry(tmp_path):
     args = ["solve", "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(out)]
     main(args + ["--scene-seed", "2"])
     assert load_scene(out / "scenario.yaml") == preset_scene("desk", 2) != preset_scene("desk", 1)
+
+
+def test_audit_rejects_genes_saved_on_another_scene(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["solve", "--preset", "desk", "--pop", "4", "--gens", "0", "--out", str(out)])
+    genes = out / "best_genotype.json"
+    saved = json.loads(genes.read_text())["scene_digest"]
+    assert saved == _scene_digest(preset_scene("desk", 1))
+    # the scene as solve saved it is the same scene, also spelled in integers
+    text = (out / "scenario.yaml").read_text()
+    assert "front_x: 4500.0\n" in text
+    (tmp_path / "int.yaml").write_text(text.replace("front_x: 4500.0\n", "front_x: 4500\n"))
+    assert _scene_digest(load_scene(tmp_path / "int.yaml")) == saved
+    args = ["audit", "--assignment", str(genes)]
+    assert main(args + ["--scenario", str(out / "scenario.yaml")]) in (0, 1)
+    capsys.readouterr()
+    assert main(args + ["--preset", "desk", "--scene-seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert saved in err and _scene_digest(preset_scene("desk", 2)) in err
 
 
 def test_audit_matches_solver_pipeline(tmp_path, desk):
