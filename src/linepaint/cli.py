@@ -103,23 +103,16 @@ def _ga_config(args, seed: int, seeding: bool, bottom_up: bool, few_arms: bool) 
 
 
 def _write_trajectory_csv(path, traj):
-    # the rows csv.writer would write: no field needs quoting
+    # each arm's rows at tick 0 and at its blocks' last ticks, as csv.writer
+    # would write them (no field needs quoting); README says how to read them
     row = "%d,%d,%.3f,%.3f,%.3f,%s,%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("arm,tick,x_mm,y_mm,z_mm,action,segment\r\n")
-        n_ticks = traj.positions.shape[1]
-        for i, arm_id in enumerate(traj.arm_ids):
-            # 1024 ticks at a time: a whole arm's rows as lists take megabytes
-            for t0 in range(0, n_ticks, 1024):
-                ticks = slice(t0, t0 + 1024)
-                positions, actions = traj.positions[i, ticks].tolist(), traj.actions[i, ticks]
-                rows = zip(positions, actions.tolist(), traj.seg_ids[i, ticks].tolist())
-                fh.write(
-                    "".join(
-                        row % (arm_id, t, x, y, z, ACTION_NAMES[action], seg)
-                        for t, ((x, y, z), action, seg) in enumerate(rows, t0)
-                    )
-                )
+        for arm_id, (ticks, rows, actions, seg_ids) in zip(traj.arm_ids, traj.block_ends()):
+            ends = zip(ticks.tolist(), rows.T.tolist(), actions.tolist(), seg_ids.tolist())
+            fh.writelines(
+                row % (arm_id, t, x, y, z, ACTION_NAMES[a], seg) for t, (x, y, z), a, seg in ends
+            )
 
 
 def _write_trace_csv(path, trace):
@@ -228,10 +221,9 @@ def cmd_audit(args) -> int:
     scene = _load(args)
     doc = json.loads(Path(args.assignment).read_text())
     try:
-        if doc.get("format_version", 1) != 1:
-            raise ScenarioError(
-                f"unsupported assignment format_version {doc.get('format_version')}"
-            )
+        version = doc.get("format_version", 1)
+        if type(version) is not int or version != 1:
+            raise ScenarioError(f"unsupported assignment format_version {version!r}")
         digest = _scene_digest(scene)
         if doc.get("scene_digest", digest) != digest:
             raise ScenarioError(

@@ -62,7 +62,8 @@ class Trajectory:
     codes; ``seg_ids`` (n_arms, n_ticks + 1), -1 when not painting.
 
     Only ``simulate`` builds one.  It keeps the plan's tapes and renders the
-    table with ``_render`` on first read, so scoring a plan never builds it."""
+    table with ``_render`` on first read, which only the tests and the
+    benchmark's traced run do: the artifacts read ``block_ends``."""
 
     def __init__(self, tapes: list[_Tape], arm_ids, cfg: ScenarioConfig):
         self._tapes = tapes
@@ -86,16 +87,16 @@ class Trajectory:
     def seg_ids(self) -> np.ndarray:
         return self._table[2]
 
-    def block_ends(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def block_ends(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per arm, the table's rows where its pieces end, without the table:
         the ticks (tick 0 first), the rows there (3, m) and the pieces'
-        actions.  A piece is affine in the tick, so its rows lie on the
-        line from the previous piece's end row to its own."""
+        actions and segment ids.  A piece is affine in the tick, so its rows
+        lie on the line from the previous piece's end row to its own."""
         pieces = _pieces([self._tapes], self._t_max)
         rows = _rows(pieces.par, pieces.length)
         cut = np.searchsorted(pieces.tape, np.arange(1, len(self._tapes)))
         ticks = pieces.first + pieces.length - 1
-        split = np.split(ticks, cut), np.split(rows, cut, axis=1), np.split(pieces.actions, cut)
+        split = (np.split(a, cut, axis=-1) for a in (ticks, rows, pieces.actions, pieces.seg_ids))
         return list(zip(*split))
 
 
@@ -375,19 +376,14 @@ def _plan_pair(scene, left, right, seg_ids, world):
 
 def _render(tapes: list[_Tape], t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table ``Trajectory`` reads: positions, actions and seg_ids."""
-    n = len(tapes)
     pieces = _pieces([tapes], t_max)
-    t_end, length = pieces.t_end[0], pieces.length
-    act = np.repeat(pieces.actions, length).reshape(n, t_end + 1)
-    seg = np.repeat(pieces.seg_ids, length).reshape(n, t_end + 1)
-    pos = np.empty((n, t_end + 1, 3))
-    ticks = np.arange(t_end + 1)
-    cut = np.searchsorted(pieces.tape, np.arange(n + 1))
-    for a in range(n):  # an arm at a time: the repeated parameters are 14 floats a tick
-        mine = slice(cut[a], cut[a + 1])
-        i_local = ticks - np.repeat(pieces.first[mine] - 1, length[mine])
-        pos[a] = _rows(np.repeat(pieces.par[:, mine], length[mine], axis=1), i_local).T
-    return pos, act, seg
+    shape, length = (len(tapes), pieces.t_end[0] + 1), pieces.length
+    rows = _rows(np.repeat(pieces.par, length, axis=1), _runs(np.ones_like(length), length))
+    return (
+        rows.T.reshape(*shape, 3),
+        np.repeat(pieces.actions, length).reshape(shape),
+        np.repeat(pieces.seg_ids, length).reshape(shape),
+    )
 
 
 def _pieces(plans: list[list[_Tape]], t_max: int) -> _Pieces:

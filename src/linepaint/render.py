@@ -73,7 +73,7 @@ def render_svg(traj: Trajectory, scene: VehicleScene) -> str:
     # each arm's path through its block ends, with the line drift removed
     world = _World(scene)
     paths = []
-    for ticks, rows, actions in traj.block_ends():
+    for ticks, rows, actions, _ in traj.block_ends():
         rows[0] -= world.offset(ticks)
         paths.append((rows.T, actions))
     width, height, pad = 900.0, 340.0, 30.0

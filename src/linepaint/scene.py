@@ -379,7 +379,7 @@ def scene_from_dict(doc: dict) -> VehicleScene:
     try:
         _mapping(doc, ("format_version", "scene", "arms", "line", "config"), "scenario")
         version = doc["format_version"]
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ScenarioError(f"unsupported format_version {version}")
         sc = _mapping(doc["scene"], ("name", "front_x", "panels", "segments"), "scene")
         line = doc["line"]

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from linepaint import lower_sim
 from linepaint.cli import _scene_digest, _write_trajectory_csv, main
 from linepaint.genotype import decode, random_solution
-from linepaint.lower_sim import simulate
+from linepaint.lower_sim import ACTION_NAMES, simulate
 from linepaint.presets import preset_scene
 from linepaint.repair import repair_all
 from linepaint.scene import load_scene, save_scene, scene_to_dict
@@ -17,6 +19,19 @@ from linepaint.seeding import (
     random_population,
     solution_from_boundaries,
 )
+
+
+ARTIFACTS = (
+    "scenario.yaml",
+    "best_genotype.json",
+    "trajectory.csv",
+    "report.json",
+    "trace.csv",
+    "routes.svg",
+    "run_info.txt",
+    "seeds.json",
+)
+HEADER = "arm,tick,x_mm,y_mm,z_mm,action,segment\r\n"
 
 
 def test_make_scene_round_trips(tmp_path):
@@ -44,16 +59,7 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
         ]
     )
     assert code == 0
-    for name in (
-        "scenario.yaml",
-        "best_genotype.json",
-        "trajectory.csv",
-        "report.json",
-        "trace.csv",
-        "routes.svg",
-        "run_info.txt",
-        "seeds.json",
-    ):
+    for name in ARTIFACTS:
         assert (out / name).exists(), name
     report = json.loads((out / "report.json").read_text())
     assert report["strong_feasible"] is True
@@ -65,18 +71,91 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert int(info["boundary_seeds"]) > 0
 
 
-def test_trajectory_csv_is_pinned(tmp_path):
-    # every row of a seeded desk plan: the digest csv.writer's file had
-    scene = preset_scene("desk", seed=1)
+def test_solve_renders_no_table(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve rendered the trajectory table")
+
+    monkeypatch.setattr(lower_sim, "_render", refuse)
+    out = tmp_path / "run"
+    # pop 6: the smallest whose best desk plan at seed 0 is feasible
+    args = ["solve", "--preset", "desk", "--pop", "6", "--gens", "1", "--dump-seeds"]
+    assert main(args + ["--out", str(out)]) == 0
+    for name in ARTIFACTS:
+        assert (out / name).stat().st_size > 0, name
+
+
+def _seeded_plan(name):
+    scene = preset_scene(name, seed=1)
     x = repair_all(random_solution(scene.n_dim, np.random.default_rng([77, 0])), scene)
     traj, _ = simulate(decode(x, scene), scene)
+    return traj
+
+
+def _per_tick_lines(traj) -> list[list[str]]:
+    """Per arm, the line of each tick of the table, as the file had them
+    when it printed every tick."""
+    row = "%d,%d,%.3f,%.3f,%.3f,%s,%d\r\n"
+    table = zip(traj.arm_ids, traj.positions.tolist(), traj.actions.tolist(), traj.seg_ids.tolist())
+    return [
+        [
+            row % (arm_id, t, x, y, z, ACTION_NAMES[action], seg)
+            for t, ((x, y, z), action, seg) in enumerate(zip(*ticks))
+        ]
+        for arm_id, *ticks in table
+    ]
+
+
+def test_trajectory_csv_is_pinned(tmp_path):
+    # a seeded desk plan's file, and the per-tick file it replaced: each line
+    # of the new one is the old one's line for that arm and tick
+    traj = _seeded_plan("desk")
     _write_trajectory_csv(tmp_path / "trajectory.csv", traj)
     data = (tmp_path / "trajectory.csv").read_bytes()
-    assert data.startswith(b"arm,tick,x_mm,y_mm,z_mm,action,segment\r\n") and len(data) == 2543516
+    assert data.startswith(HEADER.encode()) and len(data) == 11313
     assert (
         hashlib.sha256(data).hexdigest()
+        == "457405793cdc66ffe9703cc17ff22de93ee8e9afe06103dae67cd891a5df7c30"
+    )
+    per_tick = _per_tick_lines(traj)
+    old = (HEADER + "".join(line for lines in per_tick for line in lines)).encode()
+    assert len(old) == 2543516
+    assert (
+        hashlib.sha256(old).hexdigest()
         == "7781c7afa0ea05f277ceee20fb6b8468b6e08e68173f69b7dba278685bcd200b"
     )
+    lines = data.decode().splitlines(keepends=True)[1:]
+    index = {arm_id: a for a, arm_id in enumerate(traj.arm_ids)}
+    at = [(index[int(arm)], int(t)) for arm, t, _ in (line.split(",", 2) for line in lines)]
+    assert at == sorted(set(at))  # arm after arm, ticks ascending
+    assert lines == [per_tick[a][t] for a, t in at]
+
+
+@pytest.mark.parametrize("name", ["desk", "v3"])
+def test_trajectory_csv_gives_every_tick(tmp_path, name):
+    # between two of an arm's rows its head moves on the line joining them, a
+    # tick at a time, with the later row's action and segment: the rows give
+    # each tick's row of the table within the 0.001 mm print step, and 1e-9 of
+    # the arm's extent for the float rounding of a block's rows
+    traj = _seeded_plan(name)
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, traj)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ticks = np.arange(traj.positions.shape[1])
+    for a, arm_id in enumerate(traj.arm_ids):
+        mine = [r for r in rows if int(r["arm"]) == arm_id]
+        at = np.array([int(r["tick"]) for r in mine])
+        assert at[0] == 0 and at[-1] == ticks[-1] and (np.diff(at) > 0).all()
+        k = np.searchsorted(at, ticks)  # the first row at or after each tick
+        actions = np.array([ACTION_NAMES.index(r["action"]) for r in mine])
+        assert np.array_equal(actions[k], traj.actions[a])
+        assert np.array_equal(np.array([int(r["segment"]) for r in mine])[k], traj.seg_ids[a])
+        xyz = np.array([[float(r[c]) for c in ("x_mm", "y_mm", "z_mm")] for r in mine])
+        k = np.maximum(k, 1)
+        frac = ((ticks - at[k - 1]) / (at[k] - at[k - 1]))[:, None]
+        line = xyz[k - 1] + (xyz[k] - xyz[k - 1]) * frac
+        extent = np.ptp(traj.positions[a], axis=0).max()
+        assert np.abs(line - traj.positions[a]).max() <= 5e-4 + 1e-9 * extent
 
 
 @pytest.mark.parametrize("seeding", [True, False])
@@ -364,6 +443,9 @@ def test_audit_unknown_segment_exits_two(tmp_path):
         {"genes": [1, 2, 3, 4, "5", *range(6, 91)]},
         {"arms": {"1": [1.5, *range(2, 21)], "2": list(range(21, 41)), "3": list(range(41, 61))}},
         {"arms": {"7": list(range(1, 21)), "8": list(range(21, 41)), "9": list(range(41, 61))}},
+        # a format_version that is not the integer 1
+        {"format_version": True, "genes": list(range(1, 91))},
+        {"format_version": 1.0, "genes": list(range(1, 91))},
     ],
 )
 def test_audit_malformed_assignment_exits_two(tmp_path, doc):
@@ -424,6 +506,9 @@ def _audit_edited_desk(tmp_path, desk, keys, value):
         (("config",), None),
         # a negative delay, which would be scored as 0
         (("scene", "panels", 0, "delay"), -1.0),
+        # a format_version that is not the integer 1
+        (("format_version",), True),
+        (("format_version",), 1.0),
     ],
 )
 def test_unrepresentable_scenario_exits_two(tmp_path, desk, keys, value, capsys):
